@@ -30,6 +30,7 @@ from .errors import (
     HypothesisNotMet,
     IdentitySyntaxError,
     IndexOutOfRange,
+    InvariantViolation,
     NonMultilinearIdentity,
     NotSApplicable,
     NotWeaklyUnital,

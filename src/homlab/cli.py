@@ -21,7 +21,7 @@ from .carriers import (
     magma_from_dict,
     magma_to_dict,
 )
-from .errors import HomLabError
+from .errors import HomLabError, InvariantViolation
 from .evaluate import (
     first_violation,
     first_violation_multilinear,
@@ -310,6 +310,9 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
     except (HomLabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -74,6 +74,11 @@ class HypothesisNotMet(HomLabError):
     pass
 
 
+class InvariantViolation(HomLabError):
+    """An independent re-check contradicts a computed result: a bug in
+    homlab, not in its input."""
+
+
 class NotWeaklyUnital(HomLabError):
     pass
 

@@ -1,13 +1,23 @@
 """Exact evaluation of twisted identities on both carriers.
 
-Magma evaluation quantifies an equation over every element triple.  Field
-algebras are checked on basis triples only: every identity in the catalog
-is multilinear in (x, y, z), so vanishing on the basis grid is equivalent
-to vanishing everywhere.  All arithmetic is exact mod p.
+Each :class:`Identity` is compiled once (on first use, then cached) into a
+straight-line :class:`Program`: every step is a variable, the unit, a twist
+of an earlier step or a product of two earlier steps, and a subterm shared
+between or within the sides is one step.  :func:`run_program` executes it
+on either carrier:
+
+- on magmas, over index arrays by numpy fancy indexing
+  (``table[alpha[x], table[y, z]]``), so one run decides a whole grid of
+  element triples; the search runs the same program on a padded table;
+- on field algebras, over vectors or basis grids through the algebra's
+  product (or bracket) and twist.  Every identity in the catalog is
+  multilinear in (x, y, z), so vanishing on the basis grid is equivalent
+  to vanishing everywhere.  All arithmetic is exact mod p.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,23 +33,21 @@ from .errors import (
 from .terms import (
     ALL_TAGS,
     ASSOC_TAGS,
-    LIE_TAGS,
     Identity,
-    Prod,
     Term,
     Twist,
     TypeTag,
     Unit,
     Var,
     builtin,
+    parse_identity,
     term_variables,
 )
 
 Structure = Union[FiniteHomMagma, FieldHomAlgebra]
 
-# Cyclic assignments in the fixed order (x,y,z), (y,z,x), (z,x,y); the
-# order is irrelevant mathematically but pinned for reproducible dumps.
-_CYCLE = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
+#: The untwisted Jacobi identity.
+PLAIN_JACOBI = parse_identity("cyc [x,[y,z]] = 0")
 
 
 @dataclass(frozen=True)
@@ -56,34 +64,100 @@ class TypeProfile:
         return tag in self.satisfied
 
 
+# --------------------------------------------------------------- programs
+
+@dataclass(frozen=True)
+class Program:
+    """Straight-line form of an identity.
+
+    Steps are ``("x",)``, ``("y",)``, ``("z",)``, ``("1",)``, ``("a", i)``
+    or ``("*", i, j)``, where i and j index earlier steps.  lhs and rhs
+    index the steps holding the two sides; rhs is None for a cyclic sum.
+    """
+
+    steps: tuple
+    lhs: int
+    rhs: Optional[int]
+
+    @property
+    def uses_unit(self) -> bool:
+        return ("1",) in self.steps
+
+
+@functools.cache
+def compile_identity(identity: Identity) -> Program:
+    """The identity's program, built once per identity."""
+    steps, index = [], {}
+
+    def emit(term: Term) -> int:
+        if term not in index:
+            if isinstance(term, Var):
+                step = (term.name,)
+            elif isinstance(term, Unit):
+                step = ("1",)
+            elif isinstance(term, Twist):
+                step = ("a", emit(term.arg))
+            else:
+                step = ("*", emit(term.left), emit(term.right))
+            index[term] = len(steps)
+            steps.append(step)
+        return index[term]
+
+    lhs = emit(identity.lhs)
+    rhs = None if identity.cyclic else emit(identity.rhs)
+    return Program(tuple(steps), lhs, rhs)
+
+
+def run_program(program: Program, env: dict, unit, twist, product):
+    """Values of (lhs, rhs) with the variables bound by env; rhs is None
+    for a cyclic program.  twist and product act on step values."""
+    vals = []
+    for step in program.steps:
+        op = step[0]
+        if op == "*":
+            vals.append(product(vals[step[1]], vals[step[2]]))
+        elif op == "a":
+            vals.append(twist(vals[step[1]]))
+        elif op == "1":
+            if unit is None:
+                raise UnitRequired("identity uses the unit constant on a unit-free carrier")
+            vals.append(unit)
+        else:
+            vals.append(env[op])
+    return vals[program.lhs], None if program.rhs is None else vals[program.rhs]
+
+
 # ---------------------------------------------------------------- magmas
 
-def _eval_magma(term: Term, m: FiniteHomMagma, env: dict) -> int:
-    if isinstance(term, Var):
-        return env[term.name]
-    if isinstance(term, Unit):
-        if m.unit is None:
-            raise UnitRequired("identity uses the unit constant on a unit-free carrier")
-        return m.unit
-    if isinstance(term, Twist):
-        return m.alpha[_eval_magma(term.arg, m, env)]
-    return m.table[_eval_magma(term.left, m, env)][_eval_magma(term.right, m, env)]
+def magma_program(identity: Identity) -> Program:
+    """The program of an equation; cyclic sums need an additive carrier."""
+    if identity.cyclic:
+        raise CyclicNotSupportedOnMagma(
+            f"cyclic-sum identity {identity} needs an additive carrier; linearize first"
+        )
+    return compile_identity(identity)
+
+
+def magma_sides(program: Program, table, alpha, unit, triples):
+    """Both sides as element indices over index arrays: triples[0], [1]
+    and [2] hold the x, y and z indices; table and alpha are numpy arrays."""
+    x, y, z = triples
+    if unit is not None and program.uses_unit:
+        unit = np.full(x.shape, unit)  # a side without variables still spans the grid
+    return run_program(
+        program, {"x": x, "y": y, "z": z}, unit, alpha.__getitem__,
+        lambda l, r: table[l, r],
+    )
 
 
 def first_violation(m: FiniteHomMagma, identity: Identity):
-    """First triple (by element index) violating the equation, or None."""
-    if identity.cyclic:
-        raise CyclicNotSupportedOnMagma(
-            "cyclic-sum identities need an additive carrier; linearize first"
-        )
-    rng = range(m.size)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                env = {"x": x, "y": y, "z": z}
-                if _eval_magma(identity.lhs, m, env) != _eval_magma(identity.rhs, m, env):
-                    return (x, y, z)
-    return None
+    """First triple (by element index, x-major) violating the equation, or None."""
+    lhs, rhs = magma_sides(
+        magma_program(identity), np.array(m.table), np.array(m.alpha), m.unit,
+        np.indices((m.size,) * 3),
+    )
+    bad = np.argwhere(lhs != rhs)
+    return None if len(bad) == 0 else tuple(int(v) for v in bad[0])
 
 
 def holds(m: FiniteHomMagma, identity: Identity) -> bool:
@@ -93,36 +167,27 @@ def holds(m: FiniteHomMagma, identity: Identity) -> bool:
 
 # ---------------------------------------------------------- field algebras
 
-def eval_term(a: FieldHomAlgebra, term: Term, env: dict, bracket: bool = False) -> np.ndarray:
-    """Evaluate a term; env values are vectors or broadcastable vector grids.
+def _algebra_sides(a: FieldHomAlgebra, program: Program, x, y, z, bracket: bool):
+    env = {name: np.asarray(v, dtype=np.int64) % a.p for name, v in zip("xyz", (x, y, z))}
+    return run_program(program, env, a.unit, a.twist, a.bracket if bracket else a.product)
+
+
+def cyclic_sum(a: FieldHomAlgebra, term: Term, x, y, z, bracket: bool = True) -> np.ndarray:
+    """Sum of the term over the cyclic assignments (x,y,z), (y,z,x), (z,x,y).
 
     With bracket=True, products evaluate through :meth:`FieldHomAlgebra.bracket`
     (the commutator on a general carrier); otherwise through the plain product.
     """
-    if isinstance(term, Var):
-        return np.asarray(env[term.name], dtype=np.int64) % a.p
-    if isinstance(term, Unit):
-        if a.unit is None:
-            raise UnitRequired("identity uses the unit constant but the algebra has no unit vector")
-        return a.unit
-    if isinstance(term, Twist):
-        return a.twist(eval_term(a, term.arg, env, bracket))
-    left = eval_term(a, term.left, env, bracket)
-    right = eval_term(a, term.right, env, bracket)
-    return a.bracket(left, right) if bracket else a.product(left, right)
-
-
-def cyclic_sum(a: FieldHomAlgebra, term: Term, x, y, z, bracket: bool = True) -> np.ndarray:
-    """Sum of the term over the three cyclic assignments of (x, y, z)."""
-    vals = {"x": x, "y": y, "z": z}
+    program = compile_identity(Identity(term, None))
     total = 0
-    for xa, ya, za in _CYCLE:
-        env = {"x": vals[xa], "y": vals[ya], "z": vals[za]}
-        total = total + eval_term(a, term, env, bracket)
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        total = total + _algebra_sides(a, program, u, v, w, bracket)[0]
     return total % a.p
 
 
-def _basis_grids(a: FieldHomAlgebra):
+def basis_grids(a: FieldHomAlgebra):
+    """The basis broadcast over three axes: x[i], y[j], z[k] index the
+    basis triple (e_i, e_j, e_k)."""
     e = a.basis()
     return e[:, None, None, :], e[None, :, None, :], e[None, None, :, :]
 
@@ -146,20 +211,17 @@ def identity_gap(a: FieldHomAlgebra, identity: Identity, x, y, z) -> np.ndarray:
     bracket, i.e. the commutator when the product is not skew; star
     identities use the plain product.
     """
-    env = {"x": x, "y": y, "z": z}
-    use_bracket = identity.product == "bracket"
+    bracket = identity.product == "bracket"
     if identity.cyclic:
-        return cyclic_sum(a, identity.lhs, x, y, z, use_bracket)
-    lhs = eval_term(a, identity.lhs, env, use_bracket)
-    rhs = eval_term(a, identity.rhs, env, use_bracket)
+        return cyclic_sum(a, identity.lhs, x, y, z, bracket)
+    lhs, rhs = _algebra_sides(a, compile_identity(identity), x, y, z, bracket)
     return (lhs - rhs) % a.p
 
 
 def first_violation_multilinear(a: FieldHomAlgebra, identity: Identity):
     """First basis triple (i, j, k) where the identity fails, or None."""
     _check_multilinear(identity)
-    x, y, z = _basis_grids(a)
-    gap = identity_gap(a, identity, x, y, z)
+    gap = identity_gap(a, identity, *basis_grids(a))
     bad = np.argwhere((gap % a.p).any(axis=-1))
     if bad.size == 0:
         return None
@@ -225,22 +287,15 @@ def is_morphism(a: FieldHomAlgebra) -> bool:
 
 
 def type_defect(a: FieldHomAlgebra, x, y, z) -> np.ndarray:
-    """Cyclic sum of [x, alpha([y,z])] - [x, [alpha(y), alpha(z)]].
+    """Cyclic sum of [x, alpha([y,z])] - [x, [alpha(y), alpha(z)]], through
+    the plain product.
 
     Measures the gap between the two degree-two twist placements; vanishes
     whenever alpha is a bracket morphism.
     """
-    def gap(u, v, w):
-        return (
-            a.product(u, a.twist(a.product(v, w)))
-            - a.product(u, a.product(a.twist(v), a.twist(w)))
-        ) % a.p
-
-    vals = {"x": x, "y": y, "z": z}
-    total = 0
-    for xa, ya, za in _CYCLE:
-        total = total + gap(vals[xa], vals[ya], vals[za])
-    return total % a.p
+    ii = cyclic_sum(a, builtin(TypeTag("lie", "II")).lhs, x, y, z, bracket=False)
+    ii1 = cyclic_sum(a, builtin(TypeTag("lie", "II1")).lhs, x, y, z, bracket=False)
+    return (ii - ii1) % a.p
 
 
 def central_series(a: FieldHomAlgebra, depth: int) -> list:
@@ -263,10 +318,4 @@ def central_series(a: FieldHomAlgebra, depth: int) -> list:
 def is_lie(a: FieldHomAlgebra) -> bool:
     """True iff the plain Jacobi identity holds on all basis triples."""
     _require_skew(a, "is_lie")
-    x, y, z = _basis_grids(a)
-    j = (
-        a.product(x, a.product(y, z))
-        + a.product(y, a.product(z, x))
-        + a.product(z, a.product(x, y))
-    ) % a.p
-    return not np.any(j)
+    return holds_multilinear(a, PLAIN_JACOBI)

@@ -204,7 +204,12 @@ class HierarchyReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.confirmed for e in self.edges) and all(f.passed for f in self.fixtures)
+        # A suspect probe passes when it finds its refuting countermodel.
+        return (
+            all(e.confirmed for e in self.edges)
+            and all(e.verdict.found for e in self.suspects)
+            and all(f.passed for f in self.fixtures)
+        )
 
     def to_dict(self) -> dict:
         from .search import verdict_to_dict
@@ -233,7 +238,7 @@ class HierarchyReport:
             status = "exhausted" if e.confirmed else "COUNTERMODEL"
             lines.append(f"  edge {e.edge.label:<22} {status}")
         for e in self.suspects:
-            status = "refuted by countermodel" if e.verdict.found else "no countermodel (!)"
+            status = "refuted by countermodel" if e.verdict.found else "FAIL no countermodel"
             lines.append(f"  probe {e.edge.label:<21} {status}")
         for f in self.fixtures:
             status = "pass" if f.passed else "FAIL " + "; ".join(f.mismatches)

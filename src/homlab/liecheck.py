@@ -16,8 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .carriers import DEFAULT_PRIME, FieldHomAlgebra, new_algebra
-from .errors import HypothesisNotMet, StructureError
+from .errors import HypothesisNotMet, InvariantViolation, StructureError
 from .evaluate import (
+    PLAIN_JACOBI,
+    basis_grids,
     cyclic_sum,
     holds_multilinear,
     is_lie,
@@ -142,7 +144,7 @@ def lie_fixtures(p: int = DEFAULT_PRIME) -> tuple:
         is_morphism(morph),
     )
     if not all(checks):
-        raise HypothesisNotMet(f"lie fixture self-check failed: {checks}")
+        raise InvariantViolation(f"lie fixture self-check failed: {checks}")
     return (
         LieFixture("dim3-nonlie-hom-iii", k3),
         LieFixture("dim2-i1-not-i2", k2),
@@ -172,10 +174,7 @@ def verify_jacobiator_sums(algebra: FieldHomAlgebra) -> bool:
     basis triple, and so do the degree-two ones.  Requires is_lie."""
     if not is_lie(algebra):
         raise HypothesisNotMet("jacobiator-sum identities presuppose a Lie bracket")
-    e = algebra.basis()
-    x = e[:, None, None, :]
-    y = e[None, :, None, :]
-    z = e[None, None, :, :]
+    x, y, z = basis_grids(algebra)
     first = sum(jacobiator(algebra, _lie_tag(n), x, y, z) for n in ("I1", "I2", "I3"))
     second = sum(jacobiator(algebra, _lie_tag(n), x, y, z) for n in ("II1", "II2", "II3"))
     return not np.any(first % algebra.p) and not np.any(second % algebra.p)
@@ -235,8 +234,6 @@ _OMITTED_TERMS = (
     parse_identity("cyc [x,a([y,a(z)])] = 0").lhs,
 )
 
-_PLAIN_JACOBI = parse_identity("cyc [x,[y,z]] = 0").lhs
-
 
 @dataclass(frozen=True)
 class ExpansionReport:
@@ -259,18 +256,15 @@ class ExpansionReport:
 
 def expansion_residuals(algebra: FieldHomAlgebra) -> ExpansionReport:
     p = algebra.p
-    e = algebra.basis()
-    x = e[:, None, None, :]
-    y = e[None, :, None, :]
-    z = e[None, None, :, :]
+    x, y, z = basis_grids(algebra)
 
     tw = twisted_bracket(algebra)
-    direct = cyclic_sum(tw, _PLAIN_JACOBI, x, y, z)
+    direct = cyclic_sum(tw, PLAIN_JACOBI.lhs, x, y, z)
 
     def jac(name):
         return jacobiator(algebra, _lie_tag(name), x, y, z)
 
-    plain_j = cyclic_sum(algebra, _PLAIN_JACOBI, x, y, z)
+    plain_j = cyclic_sum(algebra, PLAIN_JACOBI.lhs, x, y, z)
     omitted = sum(cyclic_sum(algebra, t, x, y, z) for t in _OMITTED_TERMS) % p
 
     six = (plain_j + jac("I1") + jac("I2") + jac("I3")
@@ -348,9 +342,7 @@ def self_adjointness_probe(
     pairs_r = algebra.product(e[:, None, :], algebra.twist(e[None, :, :]))
     if not np.array_equal(pairs_l, pairs_r):
         return SelfAdjointReport(False, None, None, None)
-    x = e[:, None, None, :]
-    y = e[None, :, None, :]
-    z = e[None, None, :, :]
+    x, y, z = basis_grids(algebra)
     j2 = jacobiator(algebra, _lie_tag("I2"), x, y, z)
     j3 = jacobiator(algebra, _lie_tag("I3"), x, y, z)
     sum_zero = not np.any((j2 + j3) % p)

@@ -9,11 +9,18 @@ a priori; the remaining table cells are filled row-major, then the alpha
 values.  Candidate values are tried zero-first, then e1, e2, ...; the first
 complete model found is therefore the lexicographically least countermodel
 under the key (size, flattened table, alpha map) with that value order,
-and it equals its own canonical form.  Required identities are checked
-incrementally on ground triples as soon as both sides become defined;
-triples touching unassigned cells are deferred.  The tree can be split at
-the first decision level across worker processes; the verdict is identical
-for any worker count.
+and it equals its own canonical form.
+
+Identities run as the compiled programs of :mod:`homlab.evaluate`, over a
+table padded by one row and column whose index ``size`` stands for an
+unassigned cell and absorbs every product and twist.  Each required
+identity keeps its pending triples as a (3, k) index array; at every node
+one run of its program decides the triples whose sides are both defined,
+rejects the node if any decided triple has unequal sides, and keeps the
+rest.  A complete table is accepted when every forbidden identity fails on
+some triple.  Each carrier size is split at the first decision level into
+one chunk per worker process; the verdict is identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -24,26 +31,21 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from . import evaluate
 from .carriers import FiniteHomMagma, magma_to_dict, new_magma
-from .errors import CyclicNotSupportedOnMagma, HomLabError, UnitRequired
+from .errors import HomLabError, InvariantViolation, UnitRequired
 from .terms import (
     Identity,
-    Prod,
-    Term,
-    Twist,
     TypeTag,
     TYPE_NAMES,
-    Unit,
-    Var,
     builtin,
     parse_identity,
     render_identity,
 )
 
 Requirement = Union[str, TypeTag, Identity]
-
-UNDEF = -1
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class SearchSpec:
 
     require / violate entries may be assoc type names ("I2"), TypeTags, or
     equation-form Identity values (including parsed custom identities).
+    prune_isomorphs acts only in :func:`enumerate_models`: the first model
+    :func:`find_model` reaches is already its own canonical form.
     """
 
     max_n: int
@@ -137,58 +141,17 @@ def spec_to_dict(spec: SearchSpec) -> dict:
     }
 
 
-# ------------------------------------------------------------ term compiling
-
-def _compile_term(term: Term, unit_index):
-    """Compile to f(table, alpha, x, y, z) -> element index or UNDEF."""
-    if isinstance(term, Var):
-        return {
-            "x": lambda t, a, x, y, z: x,
-            "y": lambda t, a, x, y, z: y,
-            "z": lambda t, a, x, y, z: z,
-        }[term.name]
-    if isinstance(term, Unit):
-        if unit_index is None:
-            raise UnitRequired("identity uses the unit constant in a unit-free search")
-        return lambda t, a, x, y, z: unit_index
-    if isinstance(term, Twist):
-        g = _compile_term(term.arg, unit_index)
-
-        def tw(t, a, x, y, z):
-            v = g(t, a, x, y, z)
-            return a[v] if v >= 0 else UNDEF
-
-        return tw
-    g = _compile_term(term.left, unit_index)
-    h = _compile_term(term.right, unit_index)
-
-    def pr(t, a, x, y, z):
-        l = g(t, a, x, y, z)
-        if l < 0:
-            return UNDEF
-        r = h(t, a, x, y, z)
-        if r < 0:
-            return UNDEF
-        return t[l][r]
-
-    return pr
-
-
-def _compile_identity(identity: Identity, unit_index):
-    if identity.cyclic:
-        raise CyclicNotSupportedOnMagma(
-            f"cannot search magmas against cyclic identity {identity}"
-        )
-    return (
-        _compile_term(identity.lhs, unit_index),
-        _compile_term(identity.rhs, unit_index),
-    )
-
-
 # ------------------------------------------------------------------ search
 
 class _SizeSearch:
-    """Exhaustive DFS over one carrier size, in lexicographic order."""
+    """Exhaustive DFS over one carrier size, in lexicographic order.
+
+    The table and twist are numpy arrays padded by one row and column:
+    index ``size`` is the undefined value.  It absorbs products and twists
+    (its row, its column and its alpha entry are ``size``), so a side that
+    reads an unassigned cell evaluates to ``size``.  A negative marker
+    would not do: numpy reads a negative index as a real element.
+    """
 
     def __init__(self, spec: SearchSpec, nonzero: int):
         self.spec = spec
@@ -200,51 +163,47 @@ class _SizeSearch:
         self.slots = [("t", i, j) for i in range(lo, nonzero) for j in range(lo, nonzero)]
         self.slots += [("a", i, i) for i in range(nonzero)]
         self.domain = ([self.zero] if self.zero is not None else []) + list(range(nonzero))
-        self.require = [
-            _compile_identity(resolve_requirement(r), self.unit) for r in spec.require
-        ]
-        self.violate = [
-            _compile_identity(resolve_requirement(v), self.unit) for v in spec.violate
-        ]
+        self.require = [self._program(r) for r in spec.require]
+        self.violate = [self._program(v) for v in spec.violate]
         self.nodes = 0
         self.models = 0
 
-        table = [[UNDEF] * self.size for _ in range(self.size)]
-        alpha = [UNDEF] * self.size
+        undef = self.size
+        table = np.full((undef + 1, undef + 1), undef, dtype=np.intp)
+        alpha = np.full(undef + 1, undef, dtype=np.intp)
         if self.unit is not None:
-            for x in range(self.size):
-                table[self.unit][x] = x
-                table[x][self.unit] = x
+            table[self.unit, :undef] = np.arange(undef)
+            table[:undef, self.unit] = np.arange(undef)
         if self.zero is not None:
-            for x in range(self.size):
-                table[self.zero][x] = self.zero
-                table[x][self.zero] = self.zero
+            table[self.zero, :undef] = self.zero
+            table[:undef, self.zero] = self.zero
             alpha[self.zero] = self.zero
         self.table = table
         self.alpha = alpha
+        self._all_triples = np.indices((undef,) * 3).reshape(3, -1)
 
-    def _filter_pending(self, pending, lhs, rhs):
-        """Drop triples that are now decided; None signals a violation."""
-        t, a = self.table, self.alpha
-        rest = []
-        for x, y, z in pending:
-            lv = lhs(t, a, x, y, z)
-            if lv < 0:
-                rest.append((x, y, z))
-                continue
-            rv = rhs(t, a, x, y, z)
-            if rv < 0:
-                rest.append((x, y, z))
-                continue
-            if lv != rv:
-                return None
-        return rest
+    def _program(self, entry: Requirement) -> evaluate.Program:
+        program = evaluate.magma_program(resolve_requirement(entry))
+        if self.unit is None and program.uses_unit:
+            raise UnitRequired("identity uses the unit constant in a unit-free search")
+        return program
+
+    def _sides(self, program, triples):
+        return evaluate.magma_sides(program, self.table, self.alpha, self.unit, triples)
+
+    def _filter_pending(self, program, pending):
+        """Keep the (3, k) triples still undecided; None signals a decided
+        triple whose sides differ."""
+        lhs, rhs = self._sides(program, pending)
+        decided = (lhs != self.size) & (rhs != self.size)
+        if (lhs[decided] != rhs[decided]).any():
+            return None
+        return pending[:, ~decided]
 
     def _violates_all(self) -> bool:
-        t, a = self.table, self.alpha
-        triples = self._all_triples
-        for lhs, rhs in self.violate:
-            if all(lhs(t, a, x, y, z) == rhs(t, a, x, y, z) for x, y, z in triples):
+        for program in self.violate:
+            lhs, rhs = self._sides(program, self._all_triples)
+            if np.array_equal(lhs, rhs):
                 return False
         return True
 
@@ -254,10 +213,9 @@ class _SizeSearch:
         first_slot_values restricts the value choices at the root decision
         level; used for splitting across workers.
         """
-        self._all_triples = list(itertools.product(range(self.size), repeat=3))
         pendings = []
-        for lhs, rhs in self.require:
-            pend = self._filter_pending(self._all_triples, lhs, rhs)
+        for program in self.require:
+            pend = self._filter_pending(program, self._all_triples)
             if pend is None:
                 return
             pendings.append(pend)
@@ -273,14 +231,14 @@ class _SizeSearch:
         values = self.domain if (pos or first_slot_values is None) else first_slot_values
         for v in values:
             if kind == "t":
-                self.table[i][j] = v
+                self.table[i, j] = v
             else:
                 self.alpha[i] = v
             self.nodes += 1
             ok = True
             new_pendings = []
-            for (lhs, rhs), pend in zip(self.require, pendings):
-                filtered = self._filter_pending(pend, lhs, rhs)
+            for program, pend in zip(self.require, pendings):
+                filtered = self._filter_pending(program, pend)
                 if filtered is None:
                     ok = False
                     break
@@ -288,23 +246,15 @@ class _SizeSearch:
             if ok:
                 yield from self._dfs(pos + 1, new_pendings, first_slot_values)
         if kind == "t":
-            self.table[i][j] = UNDEF
+            self.table[i, j] = self.size
         else:
-            self.alpha[i] = UNDEF
+            self.alpha[i] = self.size
 
     def _snapshot(self) -> FiniteHomMagma:
+        s = self.size
         return new_magma(
-            self.size,
-            [row[:] for row in self.table],
-            self.alpha[:],
-            unit=self.unit,
-            zero=self.zero,
+            s, self.table[:s, :s].tolist(), self.alpha[:s].tolist(), unit=self.unit, zero=self.zero
         )
-
-    def root_domain(self):
-        if not self.slots:
-            return []
-        return list(self.domain)
 
 
 def _value_key(value: int, zero: Optional[int]) -> int:
@@ -323,61 +273,48 @@ def _reverify(spec: SearchSpec, m: FiniteHomMagma) -> FiniteHomMagma:
     # Independent re-check through the public evaluator.
     for r in spec.require:
         if not evaluate.holds(m, resolve_requirement(r)):
-            raise HomLabError(f"search returned a model violating required {requirement_label(r)}")
+            raise InvariantViolation(
+                f"search returned a model violating required {requirement_label(r)}"
+            )
     for v in spec.violate:
         if evaluate.holds(m, resolve_requirement(v)):
-            raise HomLabError(f"search returned a model satisfying forbidden {requirement_label(v)}")
+            raise InvariantViolation(
+                f"search returned a model satisfying forbidden {requirement_label(v)}"
+            )
     return m
 
 
 def _branch_worker(args):
     spec, nonzero, values = args
     search = _SizeSearch(spec, nonzero)
-    found = next(search.run(first_slot_values=values), None)
-    return (
-        None if found is None else magma_to_dict(found),
-        search.nodes,
-        search.models,
-    )
+    return next(search.run(first_slot_values=values), None), search.nodes, search.models
 
 
 def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
     """Smallest countermodel within the bound, or an exhaustion certificate.
 
-    Deterministic for every worker count: the same model (the least under
-    :func:`model_key`) is returned regardless of parallelism.
+    Each carrier size is split at the root decision level into one chunk
+    of root values per worker; the chunks run in a process pool (in this
+    process at one worker) and the least model under :func:`model_key`
+    wins, so the verdict is the same for every worker count.
     """
     start = time.perf_counter()
+    workers = max(workers, 1)
     nodes = models = 0
     for nonzero in range(1, spec.max_n + 1):
-        probe = _SizeSearch(spec, nonzero)
-        roots = probe.root_domain()
-        if workers > 1 and len(roots) > 1:
-            chunks = [roots[w::workers] for w in range(workers)]
-            chunks = [c for c in chunks if c]
-            tasks = [(spec, nonzero, c) for c in chunks]
-            with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
-                results = pool.map(_branch_worker, tasks)
-            found = None
-            for data, n_nodes, n_models in results:
-                nodes += n_nodes
-                models += n_models
-                if data is not None:
-                    from .carriers import magma_from_dict
-
-                    cand = magma_from_dict(data)
-                    if found is None or model_key(cand) < model_key(found):
-                        found = cand
-            if found is not None:
-                stats = SearchStats(nodes, models, time.perf_counter() - start)
-                return Verdict(_reverify(spec, found), nonzero, stats)
+        roots = _SizeSearch(spec, nonzero).domain
+        tasks = [(spec, nonzero, roots[w::workers]) for w in range(min(workers, len(roots)))]
+        if len(tasks) == 1:
+            results = [_branch_worker(tasks[0])]
         else:
-            found = next(probe.run(), None)
-            nodes += probe.nodes
-            models += probe.models
-            if found is not None:
-                stats = SearchStats(nodes, models, time.perf_counter() - start)
-                return Verdict(_reverify(spec, found), nonzero, stats)
+            with multiprocessing.get_context("fork").Pool(len(tasks)) as pool:
+                results = pool.map(_branch_worker, tasks)
+        nodes += sum(r[1] for r in results)
+        models += sum(r[2] for r in results)
+        found = [r[0] for r in results if r[0] is not None]
+        if found:
+            stats = SearchStats(nodes, models, time.perf_counter() - start)
+            return Verdict(_reverify(spec, min(found, key=model_key)), nonzero, stats)
     stats = SearchStats(nodes, models, time.perf_counter() - start)
     return Verdict(None, spec.max_n, stats)
 

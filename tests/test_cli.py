@@ -173,3 +173,23 @@ def test_identity_parse_error_exits_two(capsys, magma_file):
 
 def test_cyclic_identity_on_magma_exits_two(capsys, magma_file):
     assert main(["check", magma_file, "--identity", "lie:I1"]) == 2
+
+
+def test_reverify_failure_exits_three(capsys, monkeypatch, tmp_path):
+    # With the leaf check accepting every complete table, the first model
+    # satisfies I1 and hence I3; the independent re-check must catch it.
+    from homlab import search
+
+    monkeypatch.setattr(search._SizeSearch, "_violates_all", lambda self: True)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"max_n": 2, "require": ["I1"], "violate": ["I3"]}))
+    assert main(["search", str(path), "--json"]) == 3
+    assert "forbidden I3" in capsys.readouterr().err
+
+
+def test_lie_fixture_self_check_failure_exits_three(capsys, monkeypatch):
+    from homlab import liecheck
+
+    monkeypatch.setattr(liecheck, "is_lie", lambda algebra: True)
+    assert main(["export", "--what", "fixtures", "--json"]) == 3
+    assert "self-check failed" in capsys.readouterr().err

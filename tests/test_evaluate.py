@@ -6,13 +6,22 @@ import pytest
 from homlab import (
     ASSOC_TAGS,
     CyclicNotSupportedOnMagma,
+    Identity,
     NonMultilinearIdentity,
+    Prod,
+    SearchSpec,
+    Twist,
     TypeTag,
+    Unit,
     UnitRequired,
+    Var,
     builtin,
     central_series,
     counterexample_fixtures,
     cyclic_group_magma,
+    enumerate_models,
+    find_model,
+    first_violation,
     from_relations,
     holds,
     holds_multilinear,
@@ -20,11 +29,13 @@ from homlab import (
     is_lie,
     jacobiator,
     linearize,
+    model_key,
     morphism_defect,
     new_algebra,
     new_magma,
     nonlie_hom_iii_algebra,
     parse_identity,
+    render_identity,
     sl2_algebra,
     solvable2_algebra,
     solvable_morphism_algebra,
@@ -344,3 +355,134 @@ def test_injective_twist_with_type_iii_forces_jacobi():
         jac = _jacobi_grid(a).T
         for mat in invertible:
             assert np.any(mat @ jac % 2), "injective twist of type III on a non-Lie bracket"
+
+
+# Compiled programs against term semantics.  The walker below evaluates a
+# term tree directly, one element triple at a time; the compiled program
+# (shared by holds, first_violation, the search and its re-check) must
+# agree with it on every identity, not only on the ten built-in types.
+
+def walk(term, m, env):
+    if isinstance(term, Var):
+        return env[term.name]
+    if isinstance(term, Unit):
+        if m.unit is None:
+            raise UnitRequired("unit constant on a unit-free carrier")
+        return m.unit
+    if isinstance(term, Twist):
+        return m.alpha[walk(term.arg, m, env)]
+    return m.table[walk(term.left, m, env)][walk(term.right, m, env)]
+
+
+def walk_first_violation(m, identity):
+    for x, y, z in itertools.product(range(m.size), repeat=3):
+        env = {"x": x, "y": y, "z": z}
+        if walk(identity.lhs, m, env) != walk(identity.rhs, m, env):
+            return (x, y, z)
+    return None
+
+
+def random_term(rng, depth):
+    kind = int(rng.integers(0, 6 if depth else 4))
+    if kind < 3:
+        return Var("xyz"[kind])
+    if kind == 3:
+        return Unit()
+    if kind == 4:
+        return Twist(random_term(rng, depth - 1))
+    return Prod(random_term(rng, depth - 1), random_term(rng, depth - 1))
+
+
+def random_identities(rng, count):
+    """Parsed identities: fixed ones with the unit, nested twists, repeated
+    variables, variable-free sides and shared subterms, then random ones,
+    half of which share a subterm between their sides."""
+    texts = [
+        "a(a(x))*1 = x*a(a(x))",
+        "(x*y)*(x*y) = a(x*y)*a(x*y)",
+        "1 = a(1)",
+        "x = a(a(x))",
+        "1*a(1) = a(1)*1",
+        "(x*x)*x = x*(x*x)",
+        "a(x*(y*z))*z = a((x*y)*z)*z",
+    ]
+    out = [parse_identity(t) for t in texts]
+    while len(out) < count:
+        shared = random_term(rng, 2)
+        lhs, rhs = random_term(rng, 3), random_term(rng, 3)
+        if rng.integers(0, 2):
+            lhs, rhs = Prod(shared, lhs), Twist(Prod(rhs, shared))
+        out.append(parse_identity(render_identity(Identity(lhs, rhs))))
+    return out
+
+
+def random_magma(rng, n, with_zero, unital=True):
+    size = n + (1 if with_zero else 0)
+    zero = n if with_zero else None
+    table = rng.integers(0, size, size=(size, size))
+    alpha = rng.integers(0, size, size=size)
+    if unital:
+        table[0, :], table[:, 0] = np.arange(size), np.arange(size)
+    if with_zero:
+        table[zero, :], table[:, zero], alpha[zero] = zero, zero, zero
+    return new_magma(size, table.tolist(), alpha.tolist(),
+                     unit=0 if unital else None, zero=zero)
+
+
+def test_compiled_program_agrees_with_term_walker():
+    rng = np.random.default_rng(2024)
+    identities = random_identities(rng, 60)
+    for k in range(40):
+        m = random_magma(rng, int(rng.integers(1, 5)), with_zero=bool(k % 2))
+        for identity in identities:
+            expected = walk_first_violation(m, identity)
+            assert first_violation(m, identity) == expected, (identity, m)
+            assert holds(m, identity) == (expected is None)
+
+
+def test_unit_constant_needs_unit_on_magmas():
+    rng = np.random.default_rng(5)
+    m = random_magma(rng, 3, with_zero=False, unital=False)
+    for text in ("x*1 = x", "1 = a(1)", "a(a(x))*1 = a(x)"):
+        identity = parse_identity(text)
+        with pytest.raises(UnitRequired):
+            walk_first_violation(m, identity)
+        with pytest.raises(UnitRequired):
+            holds(m, identity)
+    assert holds(m, parse_identity("x = x"))
+    for spec in (
+        SearchSpec(max_n=2, require=("x*1 = x",), with_zero=False, unital=False),
+        SearchSpec(max_n=2, violate=("1 = a(1)",), unital=False),
+    ):
+        with pytest.raises(UnitRequired):
+            find_model(spec)
+
+
+def small_unital_magmas(max_n):
+    """Every unital magma with adjoined zero and at most max_n nonzero
+    elements, by raw iteration over the free cells."""
+    for n in range(1, max_n + 1):
+        size, zero = n + 1, n
+        cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+        for combo in itertools.product(range(size), repeat=len(cells)):
+            table = [[zero] * size for _ in range(size)]
+            for x in range(size):
+                table[0][x] = table[x][0] = x
+                table[zero][x] = table[x][zero] = zero
+            for (i, j), v in zip(cells, combo):
+                table[i][j] = v
+            for alphas in itertools.product(range(size), repeat=n):
+                yield new_magma(size, table, list(alphas) + [zero], unit=0, zero=zero)
+
+
+def test_search_agrees_with_term_walker_on_custom_identities():
+    # The search decides triples on a partial table through the same
+    # program; every model it enumerates, and no other, must satisfy the
+    # identity under the walker.
+    rng = np.random.default_rng(77)
+    universe = list(small_unital_magmas(2))
+    for identity in random_identities(rng, 25):
+        spec = SearchSpec(max_n=2, require=(identity,), prune_isomorphs=False)
+        mine = {model_key(m) for m in enumerate_models(spec, limit=10_000)}
+        theirs = {model_key(m) for m in universe if walk_first_violation(m, identity) is None}
+        assert mine == theirs, identity

@@ -223,3 +223,16 @@ def test_inverse_twist_requires_weak_unit():
     a = new_algebra(7, np.zeros((2, 2, 2)), np.eye(2), "general")
     with pytest.raises(NotWeaklyUnital):
         inverse_twist_check(a)
+
+
+def test_hierarchy_fails_when_a_suspect_probe_finds_no_countermodel():
+    # At bound 1 every edge is exhausted and every fixture verifies, but
+    # none of the three reverse arrows meets its refuting countermodel.
+    report = verify_hierarchy(max_n=1)
+    assert all(e.confirmed for e in report.edges)
+    assert all(f.passed for f in report.fixtures)
+    assert not any(e.verdict.found for e in report.suspects)
+    assert not report.passed
+    assert report.to_dict()["passed"] is False
+    text = report.to_text()
+    assert "FAIL no countermodel" in text and "overall: FAIL" in text

@@ -1,0 +1,60 @@
+"""The public surface: every exported name stays importable, and the
+narrative demos still run."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import homlab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The public names of homlab; none may disappear.
+PUBLIC_NAMES = (
+    "ALL_TAGS", "ASSOC_TAGS", "AlphaNotInvertible", "ConflictingRelation",
+    "CyclicNotSupportedOnMagma", "DEFAULT_PRIME", "FieldHomAlgebra", "FiniteHomMagma",
+    "Fixture", "HomLabError", "HypothesisNotMet", "IMPLICATION_EDGES", "Identity",
+    "IdentitySyntaxError", "IndexOutOfRange", "LEMMAS", "LIE_TAGS",
+    "NonMultilinearIdentity", "NotSApplicable", "NotWeaklyUnital", "Prod",
+    "RelationSyntaxError", "SUSPECT_EDGES", "SearchSpec", "SkewViolation",
+    "StructureError", "TYPE_NAMES", "Term", "Twist", "TypeProfile", "TypeTag", "Unit",
+    "UnitLawViolation", "UnitRequired", "UnknownVariable", "Var", "Verdict",
+    "WeakUnitWitness", "ZeroLawViolation", "abelian_algebra", "algebra_from_dict",
+    "algebra_to_dict", "builtin", "canonical_form", "carriers", "central_series",
+    "counterexample_fixtures", "cyclic_group_magma", "cyclic_sum", "enumerate_models",
+    "errors", "evaluate", "expansion_residuals", "find_model", "first_violation",
+    "first_violation_multilinear", "from_relations", "heisenberg_algebra", "hierarchy",
+    "holds", "holds_multilinear", "hom_iii_by_kernel_algebra", "i1_not_i2_algebra",
+    "identity_gap", "inverse_twist_check", "is_lie", "is_morphism", "jacobiator",
+    "lemma_equalities", "lie_fixtures", "liecheck", "linearize", "magma_from_dict",
+    "magma_to_dict", "model_key", "modp", "morphism_defect", "new_algebra", "new_magma",
+    "nonlie_hom_iii_algebra", "parse_identity", "render_identity", "s_transform",
+    "search", "self_adjointness_probe", "sl2_algebra", "solvable2_algebra",
+    "solvable_morphism_algebra", "spec_from_dict", "spec_to_dict",
+    "sweep_jacobiator_sums", "tag_from_string", "terms", "twisted_bracket",
+    "type_defect", "type_profile", "verdict_to_dict", "verify_fixture",
+    "verify_hierarchy", "verify_implication", "verify_jacobiator_sums",
+    "verify_lie_type_implications", "verify_twisted_bracket_lie", "weak_left_unit",
+)
+
+
+def test_public_names_importable():
+    missing = [name for name in PUBLIC_NAMES if not hasattr(homlab, name)]
+    assert not missing
+
+
+# Demo 05 repeats the full reproduction that acceptance 09 already runs.
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
