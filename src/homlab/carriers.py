@@ -154,6 +154,9 @@ def new_magma(size, table, alpha, unit=0, zero=None, names=None) -> FiniteHomMag
 
 _REL_PROD = re.compile(r"^e(\d+)\s*\*\s*e(\d+)\s*=\s*(e\d+|0)$")
 _REL_ALPHA = re.compile(r"^e(\d+)\s*->\s*(e\d+|0)$")
+# Largest element index the shorthand accepts: the table it builds has
+# (index + 1) ** 2 cells, so a larger index is refused before any allocation.
+MAX_RELATION_ELEMENT = 256
 
 
 def from_relations(text: str) -> FiniteHomMagma:
@@ -181,6 +184,10 @@ def from_relations(text: str) -> FiniteHomMagma:
         k = int(token[1:])
         if k < 1:
             raise RelationSyntaxError(f"bad element name {token!r}")
+        if k > MAX_RELATION_ELEMENT:
+            raise RelationSyntaxError(
+                f"element {token!r} exceeds the limit e{MAX_RELATION_ELEMENT}"
+            )
         mentioned = max(mentioned, k)
         return k
 

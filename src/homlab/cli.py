@@ -25,8 +25,6 @@ from .errors import HomLabError, InvariantViolation
 from .evaluate import (
     first_violation,
     first_violation_multilinear,
-    holds,
-    holds_multilinear,
     is_lie,
     jacobiator,
     type_profile,

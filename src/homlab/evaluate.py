@@ -222,6 +222,9 @@ def first_violation_multilinear(a: FieldHomAlgebra, identity: Identity):
     """First basis triple (i, j, k) where the identity fails, or None."""
     _check_multilinear(identity)
     gap = identity_gap(a, identity, *basis_grids(a))
+    # An identity without variables gives a gap of shape (dim,): spread it
+    # over the grid so that its failure shows at every basis triple.
+    gap = np.broadcast_to(gap, (a.dim,) * 4)
     bad = np.argwhere((gap % a.p).any(axis=-1))
     if bad.size == 0:
         return None

@@ -25,7 +25,6 @@ from .evaluate import (
     is_lie,
     is_morphism,
     jacobiator,
-    morphism_defect,
     twisted_bracket,
 )
 from .terms import TypeTag, builtin, parse_identity

@@ -18,18 +18,25 @@ identity keeps its pending triples as a (3, k) index array; at every node
 one run of its program decides the triples whose sides are both defined,
 rejects the node if any decided triple has unequal sides, and keeps the
 rest.  A complete table is accepted when every forbidden identity fails on
-some triple.  Each carrier size is split at the first decision level into
-one chunk per worker process; the verdict is identical for any worker
-count.
+some triple.
+
+The search is split in the cube-and-conquer style: each carrier size is cut
+at a fixed depth, so that each subtree below a surviving prefix decides at
+most a few slots.  The subtrees of all sizes form one lazy stream in
+lexicographic order, run in this process at one worker and through one
+process pool with a bounded window of tasks in flight at more.  Results are
+read in stream order and the stream stops at its first model, so the
+verdict is identical for any worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -207,48 +214,67 @@ class _SizeSearch:
                 return False
         return True
 
-    def run(self, first_slot_values: Optional[Sequence[int]] = None):
-        """Yield complete models (as FiniteHomMagma) in lexicographic order.
-
-        first_slot_values restricts the value choices at the root decision
-        level; used for splitting across workers.
-        """
+    def _root_pendings(self):
+        """Each required identity's (3, k) undecided triples under the
+        current table, or None if a decided triple fails."""
         pendings = []
         for program in self.require:
             pend = self._filter_pending(program, self._all_triples)
             if pend is None:
-                return
+                return None
             pendings.append(pend)
-        yield from self._dfs(0, pendings, first_slot_values)
+        return pendings
 
-    def _dfs(self, pos, pendings, first_slot_values):
-        if pos == len(self.slots):
+    def _assign(self, pos, value):
+        kind, i, j = self.slots[pos]
+        if kind == "t":
+            self.table[i, j] = value
+        else:
+            self.alpha[i] = value
+
+    def prefixes(self, depth: int):
+        """Yield, in lexicographic order, the assignments of the first
+        depth slots that no required identity rejects, as value tuples."""
+        pendings = self._root_pendings()
+        if pendings is not None:
+            yield from self._walk(0, depth, pendings, ())
+
+    def run(self, prefix: tuple = ()):
+        """Yield the complete models (as FiniteHomMagma) that extend prefix,
+        in lexicographic order.
+
+        The prefix is assigned at once and the root pendings filtered once:
+        a decided triple never changes, so this keeps the pending set and
+        the rejections of filtering after each of its slots.
+        """
+        for pos, value in enumerate(prefix):
+            self._assign(pos, value)
+        pendings = self._root_pendings()
+        if pendings is None:
+            return
+        for _ in self._walk(len(prefix), len(self.slots), pendings, prefix):
             self.models += 1
             if self._violates_all():
                 yield self._snapshot()
+
+    def _walk(self, pos, stop, pendings, path):
+        """DFS over slots pos..stop-1: yield the value path of every
+        surviving assignment while the table holds it."""
+        if pos == stop:
+            yield path
             return
-        kind, i, j = self.slots[pos]
-        values = self.domain if (pos or first_slot_values is None) else first_slot_values
-        for v in values:
-            if kind == "t":
-                self.table[i, j] = v
-            else:
-                self.alpha[i] = v
+        for v in self.domain:
+            self._assign(pos, v)
             self.nodes += 1
-            ok = True
             new_pendings = []
             for program, pend in zip(self.require, pendings):
                 filtered = self._filter_pending(program, pend)
                 if filtered is None:
-                    ok = False
                     break
                 new_pendings.append(filtered)
-            if ok:
-                yield from self._dfs(pos + 1, new_pendings, first_slot_values)
-        if kind == "t":
-            self.table[i, j] = self.size
-        else:
-            self.alpha[i] = self.size
+            else:
+                yield from self._walk(pos + 1, stop, new_pendings, path + (v,))
+        self._assign(pos, self.size)
 
     def _snapshot(self) -> FiniteHomMagma:
         s = self.size
@@ -284,39 +310,82 @@ def _reverify(spec: SearchSpec, m: FiniteHomMagma) -> FiniteHomMagma:
     return m
 
 
-def _branch_worker(args):
-    spec, nonzero, values = args
+# Slots a task decides: the split depth leaves this many below each prefix.
+_TASK_SLOTS = 5
+
+
+def _tasks(spec: SearchSpec, cubes: list):
+    """(spec, nonzero, prefix) for every surviving split prefix of every
+    carrier size, lazily and in the serial DFS's order.  The prefix search
+    of each size goes to cubes, which keeps its node count."""
+    for nonzero in range(1, spec.max_n + 1):
+        cube = _SizeSearch(spec, nonzero)
+        cubes.append(cube)
+        for prefix in cube.prefixes(max(len(cube.slots) - _TASK_SLOTS, 0)):
+            yield spec, nonzero, prefix
+
+
+def _run_task(task):
+    spec, nonzero, prefix = task
     search = _SizeSearch(spec, nonzero)
-    return next(search.run(first_slot_values=values), None), search.nodes, search.models
+    return nonzero, next(search.run(prefix), None), search.nodes, search.models
 
 
 def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
     """Smallest countermodel within the bound, or an exhaustion certificate.
 
-    Each carrier size is split at the root decision level into one chunk
-    of root values per worker; the chunks run in a process pool (in this
-    process at one worker) and the least model under :func:`model_key`
-    wins, so the verdict is the same for every worker count.
+    Every carrier size is cut at a fixed depth into small subtrees, one per
+    surviving prefix, and they form one lazy stream in lexicographic order.
+    At one worker each runs in this process in turn; at more, one process
+    pool keeps up to two per worker in flight.  Results are taken in stream
+    order and the stream stops at its first model, which is the serial
+    DFS's first model, so the verdict is the same for every worker count.
     """
     start = time.perf_counter()
     workers = max(workers, 1)
-    nodes = models = 0
-    for nonzero in range(1, spec.max_n + 1):
-        roots = _SizeSearch(spec, nonzero).domain
-        tasks = [(spec, nonzero, roots[w::workers]) for w in range(min(workers, len(roots)))]
-        if len(tasks) == 1:
-            results = [_branch_worker(tasks[0])]
-        else:
-            with multiprocessing.get_context("fork").Pool(len(tasks)) as pool:
-                results = pool.map(_branch_worker, tasks)
-        nodes += sum(r[1] for r in results)
-        models += sum(r[2] for r in results)
-        found = [r[0] for r in results if r[0] is not None]
-        if found:
-            stats = SearchStats(nodes, models, time.perf_counter() - start)
-            return Verdict(_reverify(spec, min(found, key=model_key)), nonzero, stats)
+    cubes = []
+    stream = _tasks(spec, cubes)
+    window = collections.deque()
+    results = []
+    pool = None
+    if workers == 1:
+        limit = 1
+
+        def submit(task):
+            result = _run_task(task)
+            return lambda: result
+    else:
+        limit = 2 * workers
+        pool = multiprocessing.get_context("fork").Pool(workers)
+
+        def submit(task):
+            return pool.apply_async(_run_task, (task,)).get
+
+    try:
+        while True:
+            window.extend(submit(t) for t in itertools.islice(stream, limit - len(window)))
+            if not window:
+                break
+            results.append(window.popleft()())
+            if results[-1][1] is not None:
+                break
+        # Tasks already handed out are small: finish them rather than kill
+        # busy workers, and count their nodes as spent.
+        results += [pending() for pending in window]
+    except BaseException:
+        if pool is not None:
+            pool.terminate()  # a worker may have died, and its task with it
+        raise
+    if pool is not None:
+        pool.close()
+        pool.join()
+    nodes = sum(c.nodes for c in cubes) + sum(r[2] for r in results)
+    models = sum(r[3] for r in results)
     stats = SearchStats(nodes, models, time.perf_counter() - start)
-    return Verdict(None, spec.max_n, stats)
+    winner = next((r for r in results if r[1] is not None), None)
+    if winner is None:
+        return Verdict(None, spec.max_n, stats)
+    return Verdict(_reverify(spec, winner[1]), winner[0], stats)
 
 
 def enumerate_models(spec: SearchSpec, limit: int) -> list:

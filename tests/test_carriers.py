@@ -23,6 +23,7 @@ from homlab import (
     new_magma,
     weak_left_unit,
 )
+from homlab.carriers import MAX_RELATION_ELEMENT
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -109,6 +110,15 @@ def test_from_relations_errors():
     # consistent unit-law products are accepted
     m = from_relations("e1*e2=e2")
     assert m.size == 3
+
+
+def test_from_relations_refuses_huge_elements_before_allocating():
+    # e5000000 would ask for a table of about 2.5e13 cells.
+    for text in ("e5000000*e2=e1", "elements: e1 e5000000", "alpha: e5000000->e1",
+                 f"e2*e2=e{MAX_RELATION_ELEMENT + 1}"):
+        with pytest.raises(RelationSyntaxError):
+            from_relations(text)
+    assert from_relations(f"elements: e{MAX_RELATION_ELEMENT}").size == MAX_RELATION_ELEMENT + 1
 
 
 @pytest.mark.parametrize("num", sorted(FIXTURES))

@@ -22,6 +22,7 @@ from homlab import (
     enumerate_models,
     find_model,
     first_violation,
+    first_violation_multilinear,
     from_relations,
     holds,
     holds_multilinear,
@@ -133,6 +134,13 @@ def test_repeated_variable_rejected():
     a = linearize(cyclic_group_magma(3), 5)
     with pytest.raises(NonMultilinearIdentity):
         holds_multilinear(a, parse_identity("(x*x)*y = x*(x*y)"))
+
+
+def test_variable_free_identity_on_basis_grid():
+    a = linearize(cyclic_group_magma(3, 1), 7)
+    assert first_violation_multilinear(a, parse_identity("1 = a(1)")) == (0, 0, 0)
+    assert not holds_multilinear(a, parse_identity("1 = a(1)"))
+    assert holds_multilinear(a, parse_identity("1 = 1"))
 
 
 def test_zero_product_satisfies_every_tag():

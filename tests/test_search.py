@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing
+import multiprocessing.pool
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from homlab import (
     verdict_to_dict,
     verify_implication,
 )
+from homlab.search import _SizeSearch, _tasks
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -217,3 +220,78 @@ def test_soundness_on_random_specs():
         }
         assert mine == oracle
         assert v.found == bool(oracle)
+
+
+# Small specs for the split: with and without zero, unital and not.
+SPLIT_SPECS = (
+    SearchSpec(max_n=3, require=("I2", "II1"), violate=("I3",)),
+    SearchSpec(max_n=3, require=("I1",), with_zero=False),
+    SearchSpec(max_n=2, require=("x*y = y*x",), violate=("I1",), with_zero=False, unital=False),
+    SearchSpec(max_n=2, require=("II2",), unital=False),
+)
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=("zero-unit", "unit", "bare", "zero"))
+def test_split_at_every_depth_matches_the_whole_search(spec):
+    whole = _SizeSearch(spec, spec.max_n)
+    serial = list(whole.run())
+    assert serial
+    for depth in range(len(whole.slots) + 1):
+        cube = _SizeSearch(spec, spec.max_n)
+        models, nodes, leaves = [], 0, 0
+        for prefix in cube.prefixes(depth):
+            assert len(prefix) == depth
+            part = _SizeSearch(spec, spec.max_n)
+            models += part.run(prefix)
+            nodes += part.nodes
+            leaves += part.models
+        assert models == serial
+        assert cube.nodes + nodes == whole.nodes
+        assert leaves == whole.models
+
+
+DEEP4 = SearchSpec(max_n=4, require=("I2", "II1", "II3"), violate=("II2",))
+
+
+def test_deep4_model_is_the_same_for_every_worker_count():
+    serial = find_model(DEEP4, workers=1)
+    assert serial.found and serial.bound == 4
+    assert (serial.stats.nodes, serial.stats.models) == (35_636, 8_583)
+    for workers in (2, 3):
+        verdict = find_model(DEEP4, workers=workers)
+        assert verdict.model == serial.model and verdict.bound == 4
+        # Beyond the serial search, only the tasks in flight when the
+        # winner arrives are spent.
+        assert verdict.stats.nodes < 1.1 * serial.stats.nodes
+        assert multiprocessing.active_children() == []
+
+
+def _task_outcomes(spec):
+    """For each task of the stream, whether it holds a model."""
+    return [next(_SizeSearch(spec, n).run(p), None) is not None for _, n, p in _tasks(spec, [])]
+
+
+def test_exhausted_and_last_task_specs_agree_at_two_workers():
+    exhausted = SearchSpec(max_n=3, require=("I1",), violate=("I3",))
+    # The only model lies under the last split prefix of the last size.
+    last = SearchSpec(max_n=2, require=("I1",), violate=("II2",), unital=False)
+    outcomes = _task_outcomes(last)
+    assert len(outcomes) > 2 and outcomes.index(True) == len(outcomes) - 1
+    for spec in (exhausted, last):
+        one, two = find_model(spec, workers=1), find_model(spec, workers=2)
+        assert verdict_to_dict(one) == verdict_to_dict(two)
+        assert (one.found, one.bound) == (spec is last, spec.max_n)
+
+
+def test_no_worker_outlives_an_early_stop(monkeypatch):
+    def refuse(pool):
+        raise AssertionError("terminate() called on the normal path")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
+    spec = SearchSpec(max_n=3, require=("II2", "II3"), violate=("II1",))
+    outcomes = _task_outcomes(spec)
+    # More tasks follow the winner than the window of 2 x 2 holds.
+    assert len(outcomes) - outcomes.index(True) > 5
+    verdict = find_model(spec, workers=2)
+    assert verdict.found and verdict.bound == 3
+    assert multiprocessing.active_children() == []

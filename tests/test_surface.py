@@ -1,6 +1,7 @@
-"""The public surface: every exported name stays importable, and the
-narrative demos still run."""
+"""The public surface: every exported name stays importable, the narrative
+demos still run, and no module imports a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -58,3 +59,23 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _unused_imports(path):
+    """Names a module binds by import but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (ROOT / "src" / "homlab").glob("*.py") if p.name != "__init__.py")
+)
+def test_no_unused_imports(module):
+    assert _unused_imports(ROOT / "src" / "homlab" / module) == []
