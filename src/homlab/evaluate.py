@@ -8,11 +8,17 @@ on either carrier:
 
 - on magmas, over index arrays by numpy fancy indexing
   (``table[alpha[x], table[y, z]]``), so one run decides a whole grid of
-  element triples; the search runs the same program on a padded table;
+  element triples;
 - on field algebras, over vectors or basis grids through the algebra's
   product (or bracket) and twist.  Every identity in the catalog is
   multilinear in (x, y, z), so vanishing on the basis grid is equivalent
   to vanishing everywhere.  All arithmetic is exact mod p.
+
+For the search, :func:`magma_kernel` turns a program once into a generated
+Python function with one numpy line per step, run over a stack of magma
+tables with a leading batch axis.  ``holds`` and ``first_violation`` stay on
+:func:`run_program`, so a verdict of the search is re-checked along another
+path.
 """
 
 from __future__ import annotations
@@ -148,6 +154,51 @@ def magma_sides(program: Program, table, alpha, unit, triples):
         program, {"x": x, "y": y, "z": z}, unit, alpha.__getitem__,
         lambda l, r: table[l, r],
     )
+
+
+# The kernel's names for the variable and unit steps.
+_KERNEL_LEAVES = {"x": "x", "y": "y", "z": "z", "1": "u"}
+
+
+@functools.cache
+def magma_kernel(program: Program):
+    """The program as one generated function ``kernel(T, A, B, x, y, z, u)``
+    over a stack of magmas: T is (D, s, s), A is (D, s), B is the batch
+    index column ``arange(D)[:, None]``, x, y and z are (k,) index arrays
+    and u is the unit.  It returns both sides as (D, k) arrays: row b holds
+    the values under table T[b] and twist A[b].
+
+    The source is built from step indices and fixed tokens only, so no
+    text of the identity reaches it.  Built once per program.
+    """
+    names, lines, varying = [], [], []
+    for i, step in enumerate(program.steps):
+        op = step[0]
+        if op == "*":
+            lines.append(f"    s{i} = T[B, {names[step[1]]}, {names[step[2]]}]")
+            varying.append(varying[step[1]] or varying[step[2]])
+        elif op == "a":
+            lines.append(f"    s{i} = A[B, {names[step[1]]}]")
+            varying.append(varying[step[1]])
+        else:
+            names.append(_KERNEL_LEAVES[op])
+            varying.append(op != "1")
+            continue
+        names.append(f"s{i}")
+
+    def side(i):
+        # A product or twist has the batch axis, and it has the triple axis
+        # if it reads a variable.  A bare variable (x = x*1) lacks the first
+        # and a side without variables (1 = a(1)) the second: spread them.
+        if program.steps[i][0] in ("*", "a") and varying[i]:
+            return names[i]
+        return f"broadcast_to({names[i]}, (len(B), len(x)))"
+
+    lines.append(f"    return {side(program.lhs)}, {side(program.rhs)}")
+    source = "def kernel(T, A, B, x, y, z, u):\n" + "\n".join(lines) + "\n"
+    namespace = {"broadcast_to": np.broadcast_to}
+    exec(compile(source, "<magma kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def first_violation(m: FiniteHomMagma, identity: Identity):

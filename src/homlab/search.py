@@ -11,22 +11,28 @@ complete model found is therefore the lexicographically least countermodel
 under the key (size, flattened table, alpha map) with that value order,
 and it equals its own canonical form.
 
-Identities run as the compiled programs of :mod:`homlab.evaluate`, over a
-table padded by one row and column whose index ``size`` stands for an
-unassigned cell and absorbs every product and twist.  Each required
-identity keeps its pending triples as a (3, k) index array; at every node
-one run of its program decides the triples whose sides are both defined,
-rejects the node if any decided triple has unequal sides, and keeps the
-rest.  A complete table is accepted when every forbidden identity fails on
-some triple.
+Identities run as straight-line kernels generated from the compiled
+programs of :mod:`homlab.evaluate`, over a table padded by one row and
+column whose index ``size`` stands for an unassigned cell and absorbs every
+product and twist.  The table carries one row per domain value, so at each
+node the open slot takes every value at once and one kernel run per
+required identity decides all the node's children.  Each required identity
+keeps its pending triples as a (3, k) index array; a fixed code table over
+the padded indices marks each triple of each child decided and equal,
+undecided, or decided and unequal.  A child with an unequal triple is
+rejected, and the DFS enters each other child with the triples still
+undecided in its row.  At the last slot one kernel run per forbidden
+identity over the full grid checks every child at once; a complete table is
+accepted when every forbidden identity fails on some triple.
 
 The search is split in the cube-and-conquer style: each carrier size is cut
 at a fixed depth, so that each subtree below a surviving prefix decides at
 most a few slots.  The subtrees of all sizes form one lazy stream in
-lexicographic order, run in this process at one worker and through one
-process pool with a bounded window of tasks in flight at more.  Results are
-read in stream order and the stream stops at its first model, so the
-verdict is identical for any worker count.
+lexicographic order, run in this process at one worker, or when the stream
+is short, and through one process pool (at most one process per CPU) with a
+bounded window of tasks in flight otherwise.  Results are read in stream
+order and the stream stops at its first model, so the verdict is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import collections
 import itertools
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
@@ -158,6 +165,13 @@ class _SizeSearch:
     (its row, its column and its alpha entry are ``size``), so a side that
     reads an unassigned cell evaluates to ``size``.  A negative marker
     would not do: numpy reads a negative index as a real element.
+
+    Both carry a leading batch axis of one row per domain value, (D, s+1,
+    s+1) and (D, s+1).  An assigned slot holds its value in every row; at a
+    node the open slot's cell holds ``domain`` down the batch axis, so row
+    b is the child that takes domain[b], and one kernel run per identity
+    decides all D children.  ``code[lhs, rhs]`` reads 0 for a decided equal
+    pair, 1 for an undecided one and 2 for a decided unequal one.
     """
 
     def __init__(self, spec: SearchSpec, nonzero: int):
@@ -170,8 +184,8 @@ class _SizeSearch:
         self.slots = [("t", i, j) for i in range(lo, nonzero) for j in range(lo, nonzero)]
         self.slots += [("a", i, i) for i in range(nonzero)]
         self.domain = ([self.zero] if self.zero is not None else []) + list(range(nonzero))
-        self.require = [self._program(r) for r in spec.require]
-        self.violate = [self._program(v) for v in spec.violate]
+        self.require = [self._kernel(r) for r in spec.require]
+        self.violate = [self._kernel(v) for v in spec.violate]
         self.nodes = 0
         self.models = 0
 
@@ -185,59 +199,69 @@ class _SizeSearch:
             table[self.zero, :undef] = self.zero
             table[:undef, self.zero] = self.zero
             alpha[self.zero] = self.zero
-        self.table = table
-        self.alpha = alpha
+        rows = len(self.domain)
+        self.table = np.repeat(table[None], rows, axis=0)
+        self.alpha = np.repeat(alpha[None], rows, axis=0)
+        self.batch = np.arange(rows)[:, None]
+        self.values = np.array(self.domain, dtype=np.intp)
+        self.code = np.full((undef + 1, undef + 1), 2, dtype=np.int8)
+        self.code[np.arange(undef), np.arange(undef)] = 0
+        self.code[undef, :] = self.code[:, undef] = 1
         self._all_triples = np.indices((undef,) * 3).reshape(3, -1)
 
-    def _program(self, entry: Requirement) -> evaluate.Program:
+    def _kernel(self, entry: Requirement):
         program = evaluate.magma_program(resolve_requirement(entry))
         if self.unit is None and program.uses_unit:
             raise UnitRequired("identity uses the unit constant in a unit-free search")
-        return program
+        return evaluate.magma_kernel(program)
 
-    def _sides(self, program, triples):
-        return evaluate.magma_sides(program, self.table, self.alpha, self.unit, triples)
+    def _codes(self, kernel, triples):
+        """(D, k) codes of the triples under every row."""
+        lhs, rhs = kernel(self.table, self.alpha, self.batch, *triples, self.unit)
+        return self.code[lhs, rhs]
 
-    def _filter_pending(self, program, pending):
-        """Keep the (3, k) triples still undecided; None signals a decided
-        triple whose sides differ."""
-        lhs, rhs = self._sides(program, pending)
-        decided = (lhs != self.size) & (rhs != self.size)
-        if (lhs[decided] != rhs[decided]).any():
-            return None
-        return pending[:, ~decided]
+    def _children(self, pendings):
+        """Whether no required identity rejects each row (a list), and each
+        identity's (D, k) mask of its pending triples still undecided in
+        each row."""
+        worst = np.zeros(len(self.domain), dtype=np.int8)
+        undecided = []
+        for kernel, pend in zip(self.require, pendings):
+            codes = self._codes(kernel, pend)
+            worst = np.maximum(worst, codes.max(axis=1, initial=0))
+            undecided.append(codes == 1)
+        return (worst < 2).tolist(), undecided
 
-    def _violates_all(self) -> bool:
-        for program in self.violate:
-            lhs, rhs = self._sides(program, self._all_triples)
-            if np.array_equal(lhs, rhs):
-                return False
-        return True
+    def _violating_rows(self):
+        """Rows of a complete table in which every forbidden identity fails."""
+        rows = np.ones(len(self.domain), dtype=bool)
+        for kernel in self.violate:
+            rows &= (self._codes(kernel, self._all_triples) == 2).any(axis=1)
+        return rows
 
     def _root_pendings(self):
         """Each required identity's (3, k) undecided triples under the
-        current table, or None if a decided triple fails."""
-        pendings = []
-        for program in self.require:
-            pend = self._filter_pending(program, self._all_triples)
-            if pend is None:
-                return None
-            pendings.append(pend)
-        return pendings
+        current table, or None if a decided triple fails.  No slot is open,
+        so every row is the same and row 0 speaks for all."""
+        alive, undecided = self._children([self._all_triples] * len(self.require))
+        if not alive[0]:
+            return None
+        return [self._all_triples.compress(mask[0], axis=1) for mask in undecided]
 
     def _assign(self, pos, value):
         kind, i, j = self.slots[pos]
         if kind == "t":
-            self.table[i, j] = value
+            self.table[:, i, j] = value
         else:
-            self.alpha[i] = value
+            self.alpha[:, i] = value
 
     def prefixes(self, depth: int):
         """Yield, in lexicographic order, the assignments of the first
         depth slots that no required identity rejects, as value tuples."""
         pendings = self._root_pendings()
         if pendings is not None:
-            yield from self._walk(0, depth, pendings, ())
+            for path, _, _ in self._walk(0, depth, pendings, ()):
+                yield path
 
     def run(self, prefix: tuple = ()):
         """Yield the complete models (as FiniteHomMagma) that extend prefix,
@@ -252,34 +276,46 @@ class _SizeSearch:
         pendings = self._root_pendings()
         if pendings is None:
             return
-        for _ in self._walk(len(prefix), len(self.slots), pendings, prefix):
+        for _, row, verdicts in self._walk(len(prefix), len(self.slots), pendings, prefix):
             self.models += 1
-            if self._violates_all():
-                yield self._snapshot()
+            if verdicts[row]:
+                yield self._snapshot(row)
 
     def _walk(self, pos, stop, pendings, path):
-        """DFS over slots pos..stop-1: yield the value path of every
-        surviving assignment while the table holds it."""
+        """DFS over slots pos..stop-1: yield (path, row, verdicts) for every
+        surviving assignment, in lexicographic order, while row ``row`` of
+        the table holds it.  When stop is the last slot, verdicts holds the
+        leaf check of every row; otherwise it is None.
+
+        Each child counts as a node when the loop reaches it, as in a DFS
+        that tries one value at a time, so a search that stops at its first
+        model counts the same nodes.
+        """
+        complete = stop == len(self.slots)
         if pos == stop:
-            yield path
+            yield path, 0, self._violating_rows() if complete else None
             return
-        for v in self.domain:
-            self._assign(pos, v)
+        self._assign(pos, self.values)
+        alive, undecided = self._children(pendings)
+        last = pos + 1 == stop
+        verdicts = self._violating_rows() if last and complete and any(alive) else None
+        for b, v in enumerate(self.domain):
             self.nodes += 1
-            new_pendings = []
-            for program, pend in zip(self.require, pendings):
-                filtered = self._filter_pending(program, pend)
-                if filtered is None:
-                    break
-                new_pendings.append(filtered)
+            if not alive[b]:
+                continue
+            if last:
+                yield path + (v,), b, verdicts
             else:
-                yield from self._walk(pos + 1, stop, new_pendings, path + (v,))
+                self._assign(pos, v)
+                children = [p.compress(mask[b], axis=1) for p, mask in zip(pendings, undecided)]
+                yield from self._walk(pos + 1, stop, children, path + (v,))
         self._assign(pos, self.size)
 
-    def _snapshot(self) -> FiniteHomMagma:
+    def _snapshot(self, row: int) -> FiniteHomMagma:
         s = self.size
         return new_magma(
-            s, self.table[:s, :s].tolist(), self.alpha[:s].tolist(), unit=self.unit, zero=self.zero
+            s, self.table[row, :s, :s].tolist(), self.alpha[row, :s].tolist(),
+            unit=self.unit, zero=self.zero,
         )
 
 
@@ -336,19 +372,30 @@ def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
 
     Every carrier size is cut at a fixed depth into small subtrees, one per
     surviving prefix, and they form one lazy stream in lexicographic order.
-    At one worker each runs in this process in turn; at more, one process
-    pool keeps up to two per worker in flight.  Results are taken in stream
-    order and the stream stops at its first model, which is the serial
-    DFS's first model, so the verdict is the same for every worker count.
+    At one worker each runs in this process in turn.  At more (at most one
+    per CPU), one process pool keeps up to two per worker in flight; it is
+    started only if the stream holds more than that window, and a shorter
+    stream runs in this process too.  Results are taken in stream order and
+    the stream stops at its first model, which is the serial DFS's first
+    model, so the verdict is the same for every worker count.
     """
     start = time.perf_counter()
-    workers = max(workers, 1)
+    # Verdicts do not depend on the worker count, so more processes than
+    # CPUs would only cost forks.
+    workers = max(min(workers, os.cpu_count() or 1), 1)
     cubes = []
     stream = _tasks(spec, cubes)
     window = collections.deque()
     results = []
     pool = None
-    if workers == 1:
+    if workers > 1:
+        # A stream that ends within one window's worth of tasks is not
+        # worth a pool: look that far ahead before forking.
+        head = list(itertools.islice(stream, 2 * workers + 1))
+        stream = itertools.chain(head, stream)
+        if len(head) > 2 * workers:
+            pool = multiprocessing.get_context("fork").Pool(workers)
+    if pool is None:
         limit = 1
 
         def submit(task):
@@ -356,7 +403,6 @@ def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
             return lambda: result
     else:
         limit = 2 * workers
-        pool = multiprocessing.get_context("fork").Pool(workers)
 
         def submit(task):
             return pool.apply_async(_run_task, (task,)).get

@@ -180,7 +180,9 @@ def test_reverify_failure_exits_three(capsys, monkeypatch, tmp_path):
     # satisfies I1 and hence I3; the independent re-check must catch it.
     from homlab import search
 
-    monkeypatch.setattr(search._SizeSearch, "_violates_all", lambda self: True)
+    monkeypatch.setattr(
+        search._SizeSearch, "_violating_rows", lambda self: [True] * len(self.domain)
+    )
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"max_n": 2, "require": ["I1"], "violate": ["I3"]}))
     assert main(["search", str(path), "--json"]) == 3

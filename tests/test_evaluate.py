@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from homlab import (
     type_defect,
     type_profile,
 )
+from homlab.evaluate import magma_kernel, magma_program, run_program
 from homlab.liecheck import random_skew_constants, random_twist
 from homlab.modp import rref
 
@@ -494,3 +496,50 @@ def test_search_agrees_with_term_walker_on_custom_identities():
         mine = {model_key(m) for m in enumerate_models(spec, limit=10_000)}
         theirs = {model_key(m) for m in universe if walk_first_violation(m, identity) is None}
         assert mine == theirs, identity
+
+
+# The search's batched kernels against the same semantics.  Rows of the
+# batch are separate magmas of one size; every row must give the walker's
+# sides and run_program's.  The last four identities have a side without a
+# batch axis (a bare variable, or no product or twist) or without a triple
+# axis (no variable), which the kernel must spread to (D, k).
+
+KERNEL_EXTRA = ("1 = a(1)", "x = x*1", "x*y = x*y", "1 = 1")
+
+
+def test_magma_kernel_agrees_with_walker_and_run_program_on_stacked_magmas():
+    rng = np.random.default_rng(2024)
+    identities = random_identities(rng, 60) + [parse_identity(t) for t in KERNEL_EXTRA]
+    for n, with_zero in ((1, True), (2, False), (2, True), (3, True)):
+        magmas = [random_magma(rng, n, with_zero) for _ in range(3)]
+        table = np.array([m.table for m in magmas])
+        alpha = np.array([m.alpha for m in magmas])
+        batch = np.arange(len(magmas))[:, None]
+        triples = np.indices((magmas[0].size,) * 3).reshape(3, -1)
+        for identity in identities:
+            program = magma_program(identity)
+            lhs, rhs = magma_kernel(program)(table, alpha, batch, *triples, 0)
+            assert lhs.shape == rhs.shape == (len(magmas), triples.shape[1]), identity
+            for b, m in enumerate(magmas):
+                env = dict(zip("xyz", triples))
+                unit = np.zeros(triples.shape[1], dtype=np.intp)
+                expected = run_program(
+                    program, env, unit, alpha[b].__getitem__, lambda l, r: table[b][l, r]
+                )
+                assert np.array_equal(lhs[b], expected[0]), identity
+                assert np.array_equal(rhs[b], expected[1]), identity
+                for t, xyz in enumerate(triples.T.tolist()):
+                    env = dict(zip("xyz", xyz))
+                    assert lhs[b, t] == walk(identity.lhs, m, env), identity
+                    assert rhs[b, t] == walk(identity.rhs, m, env), identity
+
+
+def test_magma_kernel_is_built_from_fixed_names_only():
+    # Identity text never reaches the generated source: the kernel reads
+    # only its parameters, numbered steps and two helpers.
+    rng = np.random.default_rng(3)
+    for identity in random_identities(rng, 20) + [parse_identity(t) for t in KERNEL_EXTRA]:
+        code = magma_kernel(magma_program(identity)).__code__
+        assert set(code.co_names) <= {"broadcast_to", "len"}
+        assert all(re.fullmatch(r"[TABxyzu]|s\d+", v) for v in code.co_varnames)
+        assert all(c is None or isinstance(c, int) for c in code.co_consts)

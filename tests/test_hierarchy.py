@@ -183,6 +183,16 @@ def test_verify_hierarchy_report():
     json.dumps(data)  # machine-readable form is serializable
 
 
+def test_bound_three_search_work_is_pinned():
+    # Nodes and leaves summed over the 16 edges and 3 probes at one worker.
+    # They change only if the DFS order or its pruning does.
+    report = verify_hierarchy(max_n=3)
+    verdicts = [r.verdict for r in report.edges + report.suspects]
+    assert len(verdicts) == 19
+    assert sum(v.stats.nodes for v in verdicts) == 106_031
+    assert sum(v.stats.models for v in verdicts) == 16_592
+
+
 def test_inverse_twist_group_algebra():
     algebra = linearize(cyclic_group_magma(3, twist_power=1), 7)
     report = inverse_twist_check(algebra)

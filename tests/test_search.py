@@ -1,6 +1,7 @@
 import itertools
 import multiprocessing
 import multiprocessing.pool
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from homlab import (
     spec_to_dict,
     tag_from_string,
     verdict_to_dict,
+    verify_hierarchy,
     verify_implication,
 )
 from homlab.search import _SizeSearch, _tasks
@@ -295,3 +297,46 @@ def test_no_worker_outlives_an_early_stop(monkeypatch):
     verdict = find_model(spec, workers=2)
     assert verdict.found and verdict.bound == 3
     assert multiprocessing.active_children() == []
+
+
+def test_pool_starts_only_for_a_stream_longer_than_its_window(monkeypatch):
+    context = multiprocessing.get_context("fork")
+    started, real = [], context.Pool
+
+    def counting(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(context, "Pool", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    short = SearchSpec(max_n=2, require=("I2",), violate=("I3",))
+    assert verdict_to_dict(find_model(short, workers=2)) == verdict_to_dict(find_model(short))
+    assert verify_hierarchy(max_n=2, workers=2).passed
+    assert started == []
+    assert find_model(DEEP4, workers=2).found
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+class _Refused(Exception):
+    pass
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    # The stand-in pool records the size asked for and starts nothing.
+    asked = []
+
+    def record(processes=None, *args, **kwargs):
+        asked.append(processes)
+        raise _Refused
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", record)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(_Refused):
+        find_model(DEEP4, workers=100_000)
+    assert asked == [3]
+    # Unknown CPU count: one worker, in this process.
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    exhausted = SearchSpec(max_n=3, require=("I1",), violate=("I3",))
+    assert not find_model(exhausted, workers=100_000).found
+    assert asked == [3]
