@@ -7,8 +7,10 @@ Z/p with structure constants, a twisting matrix, and an optional unit
 vector; its product may be general or skew (bracket-like).
 
 Canonical element order for magmas: the unit sits at index 0 and the zero,
-when present, at the last index.  The relations shorthand and the model
-search both produce carriers in this layout.
+when present, at the last index, and the default names are e1, e2, ...
+then 0.  The relations shorthand builds this layout through
+:func:`magma_from_dict`; the model search and the canonical form produce
+it too, with the names of :func:`_default_names`.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class FiniteHomMagma:
         return "\n".join(lines)
 
 
-def _default_names(size, unit, zero):
+def _default_names(size, zero):
     names = [""] * size
     k = 1
     for i in range(size):
@@ -144,7 +146,7 @@ def new_magma(size, table, alpha, unit=0, zero=None, names=None) -> FiniteHomMag
         if alpha[zero] != zero:
             raise ZeroLawViolation(f"alpha[{zero}] = {alpha[zero]}, expected {zero}")
     if names is None:
-        names = _default_names(size, unit, zero)
+        names = _default_names(size, zero)
     else:
         names = tuple(names)
         if len(names) != size:
@@ -154,8 +156,8 @@ def new_magma(size, table, alpha, unit=0, zero=None, names=None) -> FiniteHomMag
 
 _REL_PROD = re.compile(r"^e(\d+)\s*\*\s*e(\d+)\s*=\s*(e\d+|0)$")
 _REL_ALPHA = re.compile(r"^e(\d+)\s*->\s*(e\d+|0)$")
-# Largest element index the shorthand accepts: the table it builds has
-# (index + 1) ** 2 cells, so a larger index is refused before any allocation.
+# Most nonzero elements a shorthand or structure file may name: the table
+# has (count + 1) ** 2 cells, so more are refused before any allocation.
 MAX_RELATION_ELEMENT = 256
 
 
@@ -174,13 +176,12 @@ def from_relations(text: str) -> FiniteHomMagma:
     """
     prods = {}
     alph = {}
-    declared = 1
-    mentioned = 1
+    count = 1
 
-    def elem(token: str) -> int:
-        nonlocal mentioned
+    def elem(token: str) -> str:
+        nonlocal count
         if token == "0":
-            return 0
+            return token
         k = int(token[1:])
         if k < 1:
             raise RelationSyntaxError(f"bad element name {token!r}")
@@ -188,8 +189,8 @@ def from_relations(text: str) -> FiniteHomMagma:
             raise RelationSyntaxError(
                 f"element {token!r} exceeds the limit e{MAX_RELATION_ELEMENT}"
             )
-        mentioned = max(mentioned, k)
-        return k
+        count = max(count, k)
+        return f"e{k}"
 
     for part in text.split(";"):
         part = part.strip()
@@ -207,14 +208,14 @@ def from_relations(text: str) -> FiniteHomMagma:
                 src = elem("e" + m.group(1))
                 dst = elem(m.group(2))
                 if src in alph and alph[src] != dst:
-                    raise ConflictingRelation(f"alpha(e{src}) given twice inconsistently")
+                    raise ConflictingRelation(f"alpha({src}) given twice inconsistently")
                 alph[src] = dst
         elif part.startswith("elements"):
             _, _, rest = part.partition(":")
             for token in rest.split():
                 if not re.fullmatch(r"e\d+", token):
                     raise RelationSyntaxError(f"bad element name {token!r}")
-                declared = max(declared, elem(token))
+                elem(token)
         else:
             m = _REL_PROD.match(part)
             if m is None:
@@ -222,33 +223,22 @@ def from_relations(text: str) -> FiniteHomMagma:
             i, j = elem("e" + m.group(1)), elem("e" + m.group(2))
             k = elem(m.group(3))
             if (i, j) in prods and prods[(i, j)] != k:
-                raise ConflictingRelation(f"product e{i}*e{j} given twice inconsistently")
+                raise ConflictingRelation(f"product {i}*{j} given twice inconsistently")
             prods[(i, j)] = k
 
-    n = max(declared, mentioned)
-    size = n + 1
-    zero = n  # adjoined zero at the last index; e_k lives at index k-1
-
-    def idx(k: int) -> int:
-        return zero if k == 0 else k - 1
-
-    table = [[zero] * size for _ in range(size)]
-    for x in range(size):
-        table[0][x] = x
-        table[x][0] = x
-        table[zero][x] = zero
-        table[x][zero] = zero
+    products = {}
     for (i, j), k in prods.items():
-        if i == 1 or j == 1:
-            implied = idx(j) if i == 1 else idx(i)
-            if idx(k) != implied:
-                raise ConflictingRelation(f"product e{i}*e{j}={('0' if k == 0 else 'e%d' % k)} breaks the unit law")
-            continue
-        table[idx(i)][idx(j)] = idx(k)
-    alpha = [zero] * size
-    for i, k in alph.items():
-        alpha[idx(i)] = idx(k)
-    return new_magma(size, table, alpha, unit=0, zero=zero)
+        if "e1" in (i, j):
+            if k != (j if i == "e1" else i):
+                raise ConflictingRelation(f"product {i}*{j}={k} breaks the unit law")
+        else:
+            products[f"{i} {j}"] = k
+    return magma_from_dict({
+        "elements": [f"e{k}" for k in range(1, count + 1)],
+        "unit": "e1",
+        "products": products,
+        "alpha": alph,
+    })
 
 
 def magma_to_dict(m: FiniteHomMagma) -> dict:
@@ -278,16 +268,26 @@ def magma_to_dict(m: FiniteHomMagma) -> dict:
 
 
 def magma_from_dict(data: dict) -> FiniteHomMagma:
-    """Inverse of :func:`magma_to_dict`."""
+    """Inverse of :func:`magma_to_dict`.
+
+    Element names must be distinct, at most ``MAX_RELATION_ELEMENT`` of
+    them, and ``0`` names the adjoined zero when there is one.
+    """
     elements = list(data["elements"])
+    if len(elements) > MAX_RELATION_ELEMENT:
+        raise RelationSyntaxError(
+            f"{len(elements)} elements exceed the limit {MAX_RELATION_ELEMENT}"
+        )
     with_zero = bool(data.get("zero", True))
     unit_name = data.get("unit")
-    size = len(elements) + (1 if with_zero else 0)
-    zero = size - 1 if with_zero else None
-    index = {name: i for i, name in enumerate(elements)}
-    if with_zero:
-        index["0"] = zero
     names = tuple(elements) + (("0",) if with_zero else ())
+    size = len(names)
+    zero = size - 1 if with_zero else None
+    index = {}
+    for i, name in enumerate(names):
+        if name in index:
+            raise RelationSyntaxError(f"element name {name!r} given twice")
+        index[name] = i
 
     def look(name):
         if name not in index:
@@ -311,8 +311,10 @@ def magma_from_dict(data: dict) -> FiniteHomMagma:
             table[zero][x] = zero
             table[x][zero] = zero
     for key, value in data.get("products", {}).items():
-        a, b = key.split()
-        table[look(a)][look(b)] = look(value)
+        pair = key.split()
+        if len(pair) != 2:
+            raise RelationSyntaxError(f"product key {key!r} is not two element names")
+        table[look(pair[0])][look(pair[1])] = look(value)
     if any(v is None for row in table for v in row):
         raise RelationSyntaxError("incomplete product table in zero-free structure file")
     alpha = [default] * size
@@ -364,15 +366,30 @@ class FieldHomAlgebra:
         return new_algebra(self.p, c, self.alpha, kind or self.kind, self.unit)
 
 
+def _int64_array(values, what) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise StructureError(f"an entry of the {what} is outside int64") from None
+
+
 def new_algebra(p, c, alpha, kind="general", unit=None) -> FieldHomAlgebra:
-    """Validate and build a hom-algebra over Z/p."""
-    if not modp.is_prime(p):
-        raise StructureError(f"{p} is not prime")
-    c = np.array(c, dtype=np.int64) % p
-    alpha = np.array(alpha, dtype=np.int64) % p
+    """Validate and build a hom-algebra over Z/p.
+
+    Products are summed exactly in int64, so dim**2 * (p - 1)**3 must stay
+    below 2**63.
+    """
+    c = _int64_array(c, "structure constants")
     if c.ndim != 3 or len(set(c.shape)) != 1:
         raise StructureError("structure constants must be a d*d*d cube")
     d = c.shape[0]
+    # Checked before is_prime, whose trial division is slow for huge p.
+    if d * d * (p - 1) ** 3 >= 2**63:
+        raise StructureError(f"p = {p} is too large for exact products in dimension {d}")
+    if not modp.is_prime(p):
+        raise StructureError(f"{p} is not prime")
+    c %= p
+    alpha = _int64_array(alpha, "twist matrix") % p
     if alpha.shape != (d, d):
         raise StructureError("twist matrix shape must match the dimension")
     if kind not in ("general", "skew"):
@@ -384,7 +401,7 @@ def new_algebra(p, c, alpha, kind="general", unit=None) -> FieldHomAlgebra:
         if np.any((c + c.transpose(1, 0, 2)) % p):
             raise SkewViolation("structure constants are not antisymmetric")
     if unit is not None:
-        unit = np.array(unit, dtype=np.int64) % p
+        unit = _int64_array(unit, "unit vector") % p
         if unit.shape != (d,):
             raise StructureError("unit vector length must match the dimension")
         e = np.eye(d, dtype=np.int64)

@@ -147,10 +147,8 @@ def _lie_reports(p: int, seed: int, samples: int) -> dict:
         liecheck.sweep_jacobiator_sums(a, samples, seed) for a in lie_ones
     )
     out["expansion"] = all(
-        (lambda r: r.nine_term_matches and r.residual_equals_omitted)(
-            liecheck.expansion_residuals(f.algebra)
-        )
-        for f in fixtures
+        r.nine_term_matches and r.residual_equals_omitted
+        for r in (liecheck.expansion_residuals(f.algebra) for f in fixtures)
     )
     out["twisted-bracket"] = all(
         liecheck.verify_twisted_bracket_lie(a).passed
@@ -201,10 +199,10 @@ def _parse_at(text: str, algebra) -> list:
                 raise HomLabError(f"basis name {part} out of range")
             vecs.append(np.eye(algebra.dim, dtype=np.int64)[idx])
         else:
-            vec = np.array([int(v) for v in part.split(",")], dtype=np.int64)
+            vec = np.array([int(v) % algebra.p for v in part.split(",")], dtype=np.int64)
             if vec.shape != (algebra.dim,):
                 raise HomLabError(f"vector {part!r} has wrong length")
-            vecs.append(vec % algebra.p)
+            vecs.append(vec)
     return vecs
 
 
@@ -241,11 +239,7 @@ def _cmd_export(args) -> int:
             f.name: algebra_to_dict(f.algebra)
             for f in liecheck.lie_fixtures(liecheck.DEFAULT_PRIME)
         }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(text)
+    _emit(args, payload, json.dumps(payload, sort_keys=True, indent=2))
     return OK
 
 

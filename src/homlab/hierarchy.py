@@ -19,7 +19,7 @@ from . import modp
 from .carriers import FieldHomAlgebra, FiniteHomMagma, from_relations, weak_left_unit
 from .errors import AlphaNotInvertible, HypothesisNotMet, NotWeaklyUnital
 from .evaluate import holds, holds_multilinear, type_profile
-from .search import Verdict, verify_implication
+from .search import Verdict, verdict_to_dict, verify_implication
 from .terms import TypeTag, builtin, parse_identity
 
 
@@ -211,8 +211,6 @@ class HierarchyReport:
         )
 
     def to_dict(self) -> dict:
-        from .search import verdict_to_dict
-
         return {
             "max_n": self.max_n,
             "passed": self.passed,
@@ -249,13 +247,12 @@ class HierarchyReport:
 def verify_hierarchy(max_n: int = 3, workers: int = 1) -> HierarchyReport:
     """Exhaust every positive edge, probe the suspect reverse arrows, and
     re-verify all sixteen catalog fixtures."""
-    edges = tuple(
-        EdgeResult(e, verify_implication(e.premises, e.conclusion, max_n, workers))
-        for e in IMPLICATION_EDGES
-    )
-    suspects = tuple(
-        EdgeResult(e, verify_implication(e.premises, e.conclusion, max_n, workers))
-        for e in SUSPECT_EDGES
+    edges, suspects = (
+        tuple(
+            EdgeResult(e, verify_implication(e.premises, e.conclusion, max_n, workers))
+            for e in group
+        )
+        for group in (IMPLICATION_EDGES, SUSPECT_EDGES)
     )
     fixtures = tuple(verify_fixture(f) for f in counterexample_fixtures())
     return HierarchyReport(max_n, edges, suspects, fixtures)

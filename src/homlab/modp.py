@@ -39,10 +39,6 @@ def rref(rows: np.ndarray, p: int) -> np.ndarray:
     return m[(m != 0).any(axis=1)]
 
 
-def rank(rows: np.ndarray, p: int) -> int:
-    return rref(rows, p).shape[0]
-
-
 def solve(a: np.ndarray, b: np.ndarray, p: int):
     """One solution of a @ x = b mod p, or None if inconsistent."""
     a = np.asarray(a, dtype=np.int64) % p

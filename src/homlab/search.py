@@ -48,7 +48,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import evaluate
-from .carriers import FiniteHomMagma, magma_to_dict, new_magma
+from .carriers import FiniteHomMagma, _default_names, magma_to_dict, new_magma
 from .errors import HomLabError, InvariantViolation, UnitRequired
 from .terms import (
     Identity,
@@ -457,47 +457,20 @@ def canonical_form(m: FiniteHomMagma) -> FiniteHomMagma:
     """Least relabeling of the magma, fixing the unit (index 0) and the
     zero (last index).  Two magmas are isomorphic as pointed structures
     iff their canonical forms are equal."""
-    n = m.size
-    # Move into canonical storage first: unit at 0, zero last.
-    target = []
-    if m.unit is not None:
-        target.append(m.unit)
-    target += [i for i in range(n) if i not in (m.unit, m.zero)]
-    if m.zero is not None:
-        target.append(m.zero)
-    storage_perm = [0] * n
-    for new_idx, old_idx in enumerate(target):
-        storage_perm[old_idx] = new_idx
-    base = m.relabel(storage_perm)
-    base = replace(base, names=_canonical_names(base))
+    head = [] if m.unit is None else [m.unit]
+    tail = [] if m.zero is None else [m.zero]
+    others = [i for i in range(m.size) if i not in (m.unit, m.zero)]
 
-    lo = 1 if m.unit is not None else 0
-    hi = n - (1 if m.zero is not None else 0)
-    middle = list(range(lo, hi))
-    best = base
-    best_key = model_key(base)
-    for perm in itertools.permutations(middle):
-        full = list(range(n))
-        for src, dst in zip(middle, perm):
-            full[src] = dst
-        cand = base.relabel(full)
-        key = model_key(cand)
-        if key < best_key:
-            best = replace(cand, names=_canonical_names(cand))
-            best_key = key
-    return best
+    def relabeled(middle):
+        perm = [0] * m.size
+        for new, old in enumerate(head + list(middle) + tail):
+            perm[old] = new
+        return m.relabel(perm)
 
-
-def _canonical_names(m: FiniteHomMagma):
-    names = []
-    k = 1
-    for i in range(m.size):
-        if m.zero is not None and i == m.zero:
-            names.append("0")
-        else:
-            names.append(f"e{k}")
-            k += 1
-    return tuple(names)
+    # With the unit and the zero in place, equal keys mean equal tables and
+    # twists, and the names are replaced below: a tie leaves nothing to choose.
+    best = min(map(relabeled, itertools.permutations(others)), key=model_key)
+    return replace(best, names=_default_names(m.size, best.zero))
 
 
 def verify_implication(premises, conclusion, max_n: int, workers: int = 1) -> Verdict:

@@ -246,12 +246,9 @@ def render_identity(identity: Identity) -> str:
 
 def _catalog() -> dict:
     out = {}
-    for name, src in _ASSOC_SOURCES.items():
-        parsed = parse_identity(src)
-        out[TypeTag("assoc", name)] = Identity(parsed.lhs, parsed.rhs, "star")
-    for name, src in _LIE_SOURCES.items():
-        parsed = parse_identity(src)
-        out[TypeTag("lie", name)] = Identity(parsed.lhs, parsed.rhs, "bracket")
+    for family, sources in (("assoc", _ASSOC_SOURCES), ("lie", _LIE_SOURCES)):
+        for name, src in sources.items():
+            out[TypeTag(family, name)] = parse_identity(src)
     return out
 
 

@@ -19,6 +19,7 @@ from homlab import (
     linearize,
     magma_from_dict,
     magma_to_dict,
+    modp,
     new_algebra,
     new_magma,
     weak_left_unit,
@@ -131,6 +132,26 @@ def test_magma_json_round_trip(num):
     assert back.unit == m.unit and back.zero == m.zero
 
 
+@pytest.mark.parametrize("data", [
+    {"elements": ["e1", "e1"], "unit": "e1"},  # duplicate names
+    {"elements": ["e1", "0"], "unit": "e1"},  # 0 names the adjoined zero
+    {"elements": ["e1", "e2"], "unit": "e1", "products": {"e2": "e2"}},
+    {"elements": ["e1", "e2"], "unit": "e1", "products": {"e2 e2 e2": "e2"}},
+    {"elements": [f"e{k}" for k in range(1, MAX_RELATION_ELEMENT + 2)], "unit": "e1"},
+])
+def test_magma_from_dict_refuses_malformed_structure_files(data):
+    with pytest.raises(RelationSyntaxError):
+        magma_from_dict(data)
+
+
+def test_magma_from_dict_accepts_the_element_limit_and_zero_free_0():
+    names = [f"e{k}" for k in range(1, MAX_RELATION_ELEMENT + 1)]
+    assert magma_from_dict({"elements": names, "unit": "e1"}).size == MAX_RELATION_ELEMENT + 1
+    m = magma_from_dict({"elements": ["0", "e1"], "unit": "0", "zero": False,
+                         "products": {"e1 e1": "0"}, "alpha": {"0": "0", "e1": "e1"}})
+    assert m.names == ("0", "e1") and m.zero is None and m.unit == 0
+
+
 def test_magma_json_round_trip_no_zero():
     m = cyclic_group_magma(3, twist_power=1)
     back = magma_from_dict(magma_to_dict(m))
@@ -146,6 +167,39 @@ def test_algebra_json_round_trip():
     assert np.array_equal(back.alpha, a.alpha)
     assert back.kind == a.kind
     assert np.array_equal(back.unit, a.unit)
+
+
+def test_algebra_products_stay_exact_or_are_refused(monkeypatch):
+    # 1 * (p-1) * (p-1) * (p-1) overflows int64 at p = 2**31 - 1.
+    big = 2**31 - 1
+    with pytest.raises(StructureError):
+        new_algebra(big, [[[big - 1]]], [[big - 1]])
+    # The bound is checked before the primality test, which is slow for
+    # p = 2**89 - 1.
+    def no_primality_test(n):
+        raise AssertionError("is_prime called on an oversized modulus")
+    with monkeypatch.context() as patch:
+        patch.setattr(modp, "is_prime", no_primality_test)
+        with pytest.raises(StructureError):
+            new_algebra(2**89 - 1, [[[1]]], [[1]])
+    # The largest prime with (p-1)**3 < 2**63 stays exact in dimension 1,
+    # and is refused in dimension 2.
+    p = 2**21 - 9
+    a = new_algebra(p, [[[p - 1]]], [[p - 1]])
+    assert a.product([p - 1], [p - 1]).tolist() == [pow(p - 1, 3, p)]
+    with pytest.raises(StructureError):
+        new_algebra(p, np.zeros((2, 2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("entries", [
+    {"c": [[[2**70]]]},
+    {"alpha": [[2**64]]},
+    {"unit": [2**63]},
+])
+def test_algebra_entries_outside_int64_are_structure_errors(entries):
+    args = {"c": [[[1]]], "alpha": [[1]], "unit": None} | entries
+    with pytest.raises(StructureError):
+        new_algebra(7, args["c"], args["alpha"], "general", args["unit"])
 
 
 def test_linearize_trivial():

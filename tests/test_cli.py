@@ -143,6 +143,30 @@ def test_jacobiator_explicit_vectors(capsys, algebra_file):
     assert code == 0
 
 
+def test_jacobiator_reduces_huge_vector_entries(capsys, algebra_file):
+    huge = 2**64 + 3
+    code, out = run(capsys, ["jacobiator", algebra_file, "--type", "lie:I1",
+                             "--at", f"{huge},0,0;0,1,0;0,0,{-huge}", "--json"])
+    assert code == 0
+    code, reduced = run(capsys, ["jacobiator", algebra_file, "--type", "lie:I1",
+                                 "--at", f"{huge % 7},0,0;0,1,0;0,0,{-huge % 7}", "--json"])
+    assert code == 0 and out == reduced
+
+
+@pytest.mark.parametrize("data", [
+    # (p-1)**3 overflows int64: the identity below would be reported to fail.
+    {"p": 2**31 - 1, "c": [[[2**31 - 2]]], "alpha": [[2**31 - 2]]},
+    {"p": 7, "c": [[[2**70]]], "alpha": [[1]]},
+    {"p": 7, "c": [[[1]]], "alpha": [[1]], "unit": [2**64]},
+    {"elements": ["e1", "e1"], "unit": "e1"},
+    {"elements": ["e1", "0"], "unit": "e1"},
+])
+def test_unusable_structure_files_exit_two(capsys, tmp_path, data):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--identity", "a(x)*a(y) = x*y"]) == 2
+
+
 def test_export_round_trips_schemas(capsys, tmp_path):
     code, out = run(capsys, ["export", "--what", "fixtures", "--json"])
     assert code == 0

@@ -2,6 +2,8 @@ import itertools
 import multiprocessing
 import multiprocessing.pool
 import os
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from homlab import (
     builtin,
     canonical_form,
     counterexample_fixtures,
+    cyclic_group_magma,
     enumerate_models,
     find_model,
     holds,
@@ -153,6 +156,64 @@ def test_canonical_form_distinguishes_different_twists():
     assert canonical_form(FIXTURES[1].magma()) != canonical_form(FIXTURES[3].magma())
     # items 1 and 12 are literally the same structure refuting two claims
     assert canonical_form(FIXTURES[1].magma()) == canonical_form(FIXTURES[12].magma())
+
+
+def _brute_canonical(m):
+    """Test-local canonical form: (table, alpha) least over every relabeling
+    that sends the unit to index 0 and the zero to the last index, with
+    values compared zero first, then by index."""
+    n = m.size
+    zero = None if m.zero is None else n - 1
+    rank = [0 if v == zero else v + 1 for v in range(n)]
+    best = None
+    for perm in itertools.permutations(range(n)):
+        if m.unit is not None and perm[m.unit] != 0:
+            continue
+        if m.zero is not None and perm[m.zero] != n - 1:
+            continue
+        old = {new: i for i, new in enumerate(perm)}
+        table = tuple(
+            tuple(perm[m.table[old[i]][old[j]]] for j in range(n)) for i in range(n)
+        )
+        alpha = tuple(perm[m.alpha[old[i]]] for i in range(n))
+        key = ([rank[v] for row in table for v in row], [rank[v] for v in alpha])
+        if best is None or key < best[0]:
+            best = (key, table, alpha)
+    return best[1], best[2]
+
+
+def _random_magma(rng):
+    """A magma of 1-5 elements whose unit and zero are each absent or at
+    any index, with default or arbitrary names."""
+    n = rng.randint(1, 5)
+    unit = rng.choice([None] + list(range(n)))
+    zero = rng.choice([None] + [i for i in range(n) if i != unit])
+    table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    for x in range(n):
+        if unit is not None:
+            table[unit][x] = table[x][unit] = x
+        if zero is not None:
+            table[zero][x] = table[x][zero] = zero
+    alpha = [rng.randrange(n) for _ in range(n)]
+    if zero is not None:
+        alpha[zero] = zero
+    names = rng.choice([None, [f"x{i}" for i in range(n)]])
+    return new_magma(n, table, alpha, unit=unit, zero=zero, names=names)
+
+
+def test_canonical_form_is_the_brute_force_minimum():
+    rng = random.Random(20260318)
+    magmas = [_random_magma(rng) for _ in range(40)]
+    # Unpointed copies of the larger ones: every ordering is a candidate.
+    magmas += [replace(m, unit=None, zero=None) for m in magmas if m.size >= 3][:8]
+    magmas += [cyclic_group_magma(4, 1), cyclic_group_magma(5, 2), FIXTURES[11].magma()]
+    for m in magmas:
+        c = canonical_form(m)
+        assert (c.table, c.alpha) == _brute_canonical(m)
+        assert c.unit == (None if m.unit is None else 0)
+        assert c.zero == (None if m.zero is None else m.size - 1)
+        nonzero = [f"e{k}" for k in range(1, m.nonzero_count() + 1)]
+        assert c.names == tuple(nonzero + ([] if m.zero is None else ["0"]))
 
 
 def test_spec_validation():

@@ -79,3 +79,45 @@ def _unused_imports(path):
 )
 def test_no_unused_imports(module):
     assert _unused_imports(ROOT / "src" / "homlab" / module) == []
+
+
+def _definitions(path):
+    """(qualified name, name) of each top-level function and class of a
+    module and of each method of its classes, dunder methods aside."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (f"{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+            ]
+    return out
+
+
+def _references():
+    """Every name read, attribute taken or name imported in src, tests and demos."""
+    names = set()
+    for folder in ("src", "tests", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names |= {a.name for a in node.names}
+    return names
+
+
+def test_every_definition_is_referenced():
+    references = _references()
+    unreferenced = [
+        f"{path.stem}.{qualified}"
+        for path in sorted((ROOT / "src" / "homlab").glob("*.py"))
+        for qualified, name in _definitions(path)
+        if name not in references
+    ]
+    assert unreferenced == []
