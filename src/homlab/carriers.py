@@ -273,13 +273,27 @@ def magma_from_dict(data: dict) -> FiniteHomMagma:
     Element names must be distinct, at most ``MAX_RELATION_ELEMENT`` of
     them, and ``0`` names the adjoined zero when there is one.
     """
-    elements = list(data["elements"])
+    if not isinstance(data, dict):
+        raise RelationSyntaxError("a structure must be a JSON object")
+    elements = data["elements"]
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise RelationSyntaxError("elements must be a list of names (strings)")
     if len(elements) > MAX_RELATION_ELEMENT:
         raise RelationSyntaxError(
             f"{len(elements)} elements exceed the limit {MAX_RELATION_ELEMENT}"
         )
-    with_zero = bool(data.get("zero", True))
+    with_zero = data.get("zero", True)
+    if not isinstance(with_zero, bool):
+        raise RelationSyntaxError(f"zero must be true or false, not {with_zero!r}")
     unit_name = data.get("unit")
+    if unit_name is not None and not isinstance(unit_name, str):
+        raise RelationSyntaxError(f"unit must be an element name or null, not {unit_name!r}")
+    maps = {key: data.get(key, {}) for key in ("products", "alpha")}
+    for key, cells in maps.items():
+        if not isinstance(cells, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in cells.items()
+        ):
+            raise RelationSyntaxError(f"{key} must map names to element names (strings)")
     names = tuple(elements) + (("0",) if with_zero else ())
     size = len(names)
     zero = size - 1 if with_zero else None
@@ -310,7 +324,7 @@ def magma_from_dict(data: dict) -> FiniteHomMagma:
         for x in range(size):
             table[zero][x] = zero
             table[x][zero] = zero
-    for key, value in data.get("products", {}).items():
+    for key, value in maps["products"].items():
         pair = key.split()
         if len(pair) != 2:
             raise RelationSyntaxError(f"product key {key!r} is not two element names")
@@ -318,7 +332,7 @@ def magma_from_dict(data: dict) -> FiniteHomMagma:
     if any(v is None for row in table for v in row):
         raise RelationSyntaxError("incomplete product table in zero-free structure file")
     alpha = [default] * size
-    for key, value in data.get("alpha", {}).items():
+    for key, value in maps["alpha"].items():
         alpha[look(key)] = look(value)
     if any(v is None for v in alpha):
         raise RelationSyntaxError("incomplete alpha map in zero-free structure file")
@@ -366,9 +380,24 @@ class FieldHomAlgebra:
         return new_algebra(self.p, c, self.alpha, kind or self.kind, self.unit)
 
 
+def _integral(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int64_array(values, what) -> np.ndarray:
+    """values as an int64 array.  Integers are taken, and so are floats of
+    integral value (as from np.eye); fractions, booleans, strings and
+    entries outside int64 are refused, not truncated or wrapped."""
+    array = np.asarray(values)
+    if array.dtype.kind == "i":
+        return array.astype(np.int64)
+    entries = array.ravel().tolist()
+    if not all(map(_integral, entries)):
+        raise StructureError(f"an entry of the {what} is not an integer")
     try:
-        return np.array(values, dtype=np.int64)
+        return np.array([int(v) for v in entries], dtype=np.int64).reshape(array.shape)
     except OverflowError:
         raise StructureError(f"an entry of the {what} is outside int64") from None
 
@@ -379,6 +408,9 @@ def new_algebra(p, c, alpha, kind="general", unit=None) -> FieldHomAlgebra:
     Products are summed exactly in int64, so dim**2 * (p - 1)**3 must stay
     below 2**63.
     """
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+        raise StructureError(f"p must be an integer, not {p!r}")
+    p = int(p)
     c = _int64_array(c, "structure constants")
     if c.ndim != 3 or len(set(c.shape)) != 1:
         raise StructureError("structure constants must be a d*d*d cube")
@@ -429,7 +461,7 @@ def algebra_to_dict(a: FieldHomAlgebra) -> dict:
 
 def algebra_from_dict(data: dict) -> FieldHomAlgebra:
     return new_algebra(
-        int(data["p"]),
+        data["p"],
         data["c"],
         data["alpha"],
         data.get("kind", "general"),

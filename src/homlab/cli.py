@@ -44,7 +44,7 @@ OK, REFUTED, USAGE, INTERNAL = 0, 1, 2, 3
 def _load_structure(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "p" in data and "c" in data:
+    if isinstance(data, dict) and "p" in data and "c" in data:
         return algebra_from_dict(data)
     return magma_from_dict(data)
 

@@ -12,27 +12,31 @@ under the key (size, flattened table, alpha map) with that value order,
 and it equals its own canonical form.
 
 Identities run as straight-line kernels generated from the compiled
-programs of :mod:`homlab.evaluate`, over a table padded by one row and
+programs of :mod:`homlab.evaluate`, over tables padded by one row and
 column whose index ``size`` stands for an unassigned cell and absorbs every
-product and twist.  The table carries one row per domain value, so at each
-node the open slot takes every value at once and one kernel run per
-required identity decides all the node's children.  Each required identity
-keeps its pending triples as a (3, k) index array; a fixed code table over
-the padded indices marks each triple of each child decided and equal,
-undecided, or decided and unequal.  A child with an unequal triple is
-rejected, and the DFS enters each other child with the triples still
-undecided in its row.  At the last slot one kernel run per forbidden
-identity over the full grid checks every child at once; a complete table is
-accepted when every forbidden identity fails on some triple.
+product and twist.  The slots are walked in windows of a few slots: depth
+first over windows, breadth first inside each.  A window holds its alive
+partial tables as one stack in lexicographic order; each level gives every
+row one child per domain value and runs each required identity's kernel
+once over the union of the rows' pending triples, on the children the
+identities before it kept (a level too large for one run is cut into chunks
+of rows).  A fixed code table over the padded indices marks each triple of
+each child decided and equal, undecided, or decided and unequal; a child
+with an unequal triple is dropped, and so are the triples no kept child
+leaves undecided.  When a window completes the table, one kernel run per
+forbidden identity over the full grid checks all its leaves; a complete
+table is accepted when every forbidden identity fails on some triple.
+Nodes and leaves are counted as a search that tries one value at a time
+would count them.
 
 The search is split in the cube-and-conquer style: each carrier size is cut
-at a fixed depth, so that each subtree below a surviving prefix decides at
-most a few slots.  The subtrees of all sizes form one lazy stream in
-lexicographic order, run in this process at one worker, or when the stream
-is short, and through one process pool (at most one process per CPU) with a
-bounded window of tasks in flight otherwise.  Results are read in stream
-order and the stream stops at its first model, so the verdict is identical
-for any worker count.
+at a fixed depth, so that each subtree below a surviving prefix is one
+window.  The subtrees of all sizes form one lazy stream in lexicographic
+order, run in this process at one worker, or when the stream is short, and
+through one process pool (at most one process per CPU) with a bounded
+window of tasks in flight otherwise.  Results are read in stream order and
+the stream stops at its first model, so the verdict is identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -133,14 +137,29 @@ def resolve_requirement(entry: Requirement) -> Identity:
 
 
 def spec_from_dict(data: dict) -> SearchSpec:
-    require = list(data.get("require", [])) + list(data.get("custom", []))
+    """The spec of a spec file's JSON object.  A value of the wrong JSON
+    type raises HomLabError rather than being coerced."""
+    if not isinstance(data, dict):
+        raise HomLabError("a spec must be a JSON object")
+    max_n = data.get("max_n", 3)
+    if not isinstance(max_n, int) or isinstance(max_n, bool):
+        raise HomLabError(f"max_n must be an integer, not {max_n!r}")
+    lists = {}
+    for key in ("require", "violate", "custom"):
+        value = data.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise HomLabError(f"{key} must be a list of strings, not {value!r}")
+        lists[key] = value
+    flags = {}
+    for key in ("with_zero", "unital", "prune_isomorphs"):
+        flags[key] = data.get(key, True)
+        if not isinstance(flags[key], bool):
+            raise HomLabError(f"{key} must be true or false, not {flags[key]!r}")
     return SearchSpec(
-        max_n=int(data.get("max_n", 3)),
-        require=tuple(require),
-        violate=tuple(data.get("violate", [])),
-        with_zero=bool(data.get("with_zero", True)),
-        unital=bool(data.get("unital", True)),
-        prune_isomorphs=bool(data.get("prune_isomorphs", True)),
+        max_n=max_n,
+        require=tuple(lists["require"] + lists["custom"]),
+        violate=tuple(lists["violate"]),
+        **flags,
     )
 
 
@@ -157,8 +176,19 @@ def spec_to_dict(spec: SearchSpec) -> dict:
 
 # ------------------------------------------------------------------ search
 
+# Most cells (rows x triples) one kernel run decides.  A larger level runs
+# in chunks of rows, so that memory stays bounded where pruning is weak.
+_KERNEL_CELLS = 1 << 14
+
+
+def _parts(rows: int, triples: int):
+    """Slices that cut rows into chunks of at most _KERNEL_CELLS cells."""
+    step = max(_KERNEL_CELLS // max(triples, 1), 1)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 class _SizeSearch:
-    """Exhaustive DFS over one carrier size, in lexicographic order.
+    """Exhaustive search over one carrier size, in lexicographic order.
 
     The table and twist are numpy arrays padded by one row and column:
     index ``size`` is the undefined value.  It absorbs products and twists
@@ -166,12 +196,17 @@ class _SizeSearch:
     reads an unassigned cell evaluates to ``size``.  A negative marker
     would not do: numpy reads a negative index as a real element.
 
-    Both carry a leading batch axis of one row per domain value, (D, s+1,
-    s+1) and (D, s+1).  An assigned slot holds its value in every row; at a
-    node the open slot's cell holds ``domain`` down the batch axis, so row
-    b is the child that takes domain[b], and one kernel run per identity
-    decides all D children.  ``code[lhs, rhs]`` reads 0 for a decided equal
-    pair, 1 for an undecided one and 2 for a decided unequal one.
+    The slots are walked in windows of at most ``_TASK_SLOTS`` slots, depth
+    first over windows and breadth first inside each one.  A window holds
+    its alive rows as stacks (R, s+1, s+1) and (R, s+1) in lexicographic
+    order, in the narrowest unsigned dtype that holds ``size``.  Each level
+    repeats every row once per domain value, so row r*D + b is child b of
+    row r.  Each required identity's kernel then runs once over the union
+    of the rows' pending triples, on the rows the identities before it
+    kept (in chunks of rows when the level holds more than
+    ``_KERNEL_CELLS`` row-triple cells).  ``code[lhs, rhs]`` reads 0 for a
+    decided equal pair, 1 for an undecided one and 2 for a decided unequal
+    one.
     """
 
     def __init__(self, spec: SearchSpec, nonzero: int):
@@ -190,20 +225,17 @@ class _SizeSearch:
         self.models = 0
 
         undef = self.size
-        table = np.full((undef + 1, undef + 1), undef, dtype=np.intp)
-        alpha = np.full(undef + 1, undef, dtype=np.intp)
+        dtype = np.min_scalar_type(undef)
+        self.table = np.full((1, undef + 1, undef + 1), undef, dtype=dtype)
+        self.alpha = np.full((1, undef + 1), undef, dtype=dtype)
         if self.unit is not None:
-            table[self.unit, :undef] = np.arange(undef)
-            table[:undef, self.unit] = np.arange(undef)
+            self.table[0, self.unit, :undef] = np.arange(undef)
+            self.table[0, :undef, self.unit] = np.arange(undef)
         if self.zero is not None:
-            table[self.zero, :undef] = self.zero
-            table[:undef, self.zero] = self.zero
-            alpha[self.zero] = self.zero
-        rows = len(self.domain)
-        self.table = np.repeat(table[None], rows, axis=0)
-        self.alpha = np.repeat(alpha[None], rows, axis=0)
-        self.batch = np.arange(rows)[:, None]
-        self.values = np.array(self.domain, dtype=np.intp)
+            self.table[0, self.zero, :undef] = self.zero
+            self.table[0, :undef, self.zero] = self.zero
+            self.alpha[0, self.zero] = self.zero
+        self.values = np.array(self.domain, dtype=dtype)
         self.code = np.full((undef + 1, undef + 1), 2, dtype=np.int8)
         self.code[np.arange(undef), np.arange(undef)] = 0
         self.code[undef, :] = self.code[:, undef] = 1
@@ -215,53 +247,73 @@ class _SizeSearch:
             raise UnitRequired("identity uses the unit constant in a unit-free search")
         return evaluate.magma_kernel(program)
 
-    def _codes(self, kernel, triples):
-        """(D, k) codes of the triples under every row."""
-        lhs, rhs = kernel(self.table, self.alpha, self.batch, *triples, self.unit)
+    def _codes(self, kernel, table, alpha, triples):
+        """(R, k) codes of the triples under every row of the stacks."""
+        batch = np.arange(len(table))[:, None]
+        lhs, rhs = kernel(table, alpha, batch, *triples, self.unit)
         return self.code[lhs, rhs]
 
-    def _children(self, pendings):
-        """Whether no required identity rejects each row (a list), and each
-        identity's (D, k) mask of its pending triples still undecided in
-        each row."""
-        worst = np.zeros(len(self.domain), dtype=np.int8)
-        undecided = []
-        for kernel, pend in zip(self.require, pendings):
-            codes = self._codes(kernel, pend)
-            worst = np.maximum(worst, codes.max(axis=1, initial=0))
-            undecided.append(codes == 1)
-        return (worst < 2).tolist(), undecided
+    def _filter(self, table, alpha, pendings):
+        """Indices of the rows of a non-empty stack that no required
+        identity rejects, in order, and each identity's pending triples
+        that some kept row leaves undecided.
 
-    def _violating_rows(self):
-        """Rows of a complete table in which every forbidden identity fails."""
-        rows = np.ones(len(self.domain), dtype=bool)
-        for kernel in self.violate:
-            rows &= (self._codes(kernel, self._all_triples) == 2).any(axis=1)
+        The pendings are the union over the rows: a triple outside a row's
+        own pending set was decided equal in one of its ancestors and reads
+        0 again, so every row gets the verdict of its own set.  Each
+        identity runs only on the rows the ones before it kept."""
+        kept = []
+        undecided = [np.zeros(p.shape[1], dtype=bool) for p in pendings]
+        for part in _parts(len(table), max((p.shape[1] for p in pendings), default=0)):
+            rows = np.arange(len(table))[part]
+            codes = []
+            for kernel, pend in zip(self.require, pendings):
+                code = self._codes(kernel, table[rows], alpha[rows], pend)
+                alive = code.max(axis=1, initial=0) < 2
+                rows = rows[alive]
+                codes = [c[alive] for c in codes] + [code[alive]]
+            kept.append(rows)
+            for mask, code in zip(undecided, codes):
+                mask |= (code == 1).any(axis=0)
+        return np.concatenate(kept), [p.compress(m, axis=1) for p, m in zip(pendings, undecided)]
+
+    def _violating_rows(self, table, alpha):
+        """Rows of complete tables in which every forbidden identity fails."""
+        rows = np.ones(len(table), dtype=bool)
+        for part in _parts(len(table), self._all_triples.shape[1]):
+            for kernel in self.violate:
+                codes = self._codes(kernel, table[part], alpha[part], self._all_triples)
+                rows[part] &= (codes == 2).any(axis=1)
         return rows
 
-    def _root_pendings(self):
-        """Each required identity's (3, k) undecided triples under the
-        current table, or None if a decided triple fails.  No slot is open,
-        so every row is the same and row 0 speaks for all."""
-        alive, undecided = self._children([self._all_triples] * len(self.require))
-        if not alive[0]:
-            return None
-        return [self._all_triples.compress(mask[0], axis=1) for mask in undecided]
+    def _root(self, prefix):
+        """One-row stacks holding the prefix, and each required identity's
+        (3, k) undecided triples under them, or None if a decided triple
+        fails."""
+        table, alpha = self.table.copy(), self.alpha.copy()
+        for pos, value in enumerate(prefix):
+            self._assign(table, alpha, pos, value)
+        rows, pendings = self._filter(table, alpha, [self._all_triples] * len(self.require))
+        return table, alpha, (pendings if len(rows) else None)
 
-    def _assign(self, pos, value):
+    def _assign(self, table, alpha, pos, values):
         kind, i, j = self.slots[pos]
         if kind == "t":
-            self.table[:, i, j] = value
+            table[:, i, j] = values
         else:
-            self.alpha[:, i] = value
+            alpha[:, i] = values
 
     def prefixes(self, depth: int):
         """Yield, in lexicographic order, the assignments of the first
         depth slots that no required identity rejects, as value tuples."""
-        pendings = self._root_pendings()
-        if pendings is not None:
-            for path, _, _ in self._walk(0, depth, pendings, ()):
-                yield path
+        table, alpha, pendings = self._root(())
+        if pendings is None:
+            return
+        for table, alpha, row, _ in self._walk(table, alpha, pendings, 0, depth):
+            yield tuple(
+                int(table[row, i, j] if kind == "t" else alpha[row, i])
+                for kind, i, j in self.slots[:depth]
+            )
 
     def run(self, prefix: tuple = ()):
         """Yield the complete models (as FiniteHomMagma) that extend prefix,
@@ -271,50 +323,71 @@ class _SizeSearch:
         a decided triple never changes, so this keeps the pending set and
         the rejections of filtering after each of its slots.
         """
-        for pos, value in enumerate(prefix):
-            self._assign(pos, value)
-        pendings = self._root_pendings()
+        table, alpha, pendings = self._root(prefix)
         if pendings is None:
             return
-        for _, row, verdicts in self._walk(len(prefix), len(self.slots), pendings, prefix):
+        for table, alpha, row, verdicts in self._walk(
+            table, alpha, pendings, len(prefix), len(self.slots)
+        ):
             self.models += 1
             if verdicts[row]:
-                yield self._snapshot(row)
+                yield self._snapshot(table, alpha, row)
 
-    def _walk(self, pos, stop, pendings, path):
-        """DFS over slots pos..stop-1: yield (path, row, verdicts) for every
-        surviving assignment, in lexicographic order, while row ``row`` of
-        the table holds it.  When stop is the last slot, verdicts holds the
-        leaf check of every row; otherwise it is None.
+    def _walk(self, table, alpha, pendings, pos, stop):
+        """Yield (table, alpha, row, verdicts) for every assignment of
+        slots pos..stop-1 below the one row of the stacks that no required
+        identity rejects, in lexicographic order, while row ``row`` of the
+        yielded stacks holds it.  When the table is then complete, verdicts
+        holds the leaf check of every row; otherwise it is None.
 
-        Each child counts as a node when the loop reaches it, as in a DFS
-        that tries one value at a time, so a search that stops at its first
-        model counts the same nodes.
+        The first window is slots pos..pos+_TASK_SLOTS-1; each of its alive
+        leaves is walked on from its own row.  Nodes are counted as a DFS
+        that tries one value at a time counts them when it reaches the
+        yielded assignment, so a consumer that stops early reads the same
+        count.
         """
-        complete = stop == len(self.slots)
-        if pos == stop:
-            yield path, 0, self._violating_rows() if complete else None
-            return
-        self._assign(pos, self.values)
-        alive, undecided = self._children(pendings)
-        last = pos + 1 == stop
-        verdicts = self._violating_rows() if last and complete and any(alive) else None
-        for b, v in enumerate(self.domain):
-            self.nodes += 1
-            if not alive[b]:
-                continue
-            if last:
-                yield path + (v,), b, verdicts
+        end = min(pos + _TASK_SLOTS, stop)
+        table, alpha, pendings, reached, total = self._window(table, alpha, pendings, pos, end)
+        verdicts = self._violating_rows(table, alpha) if end == len(self.slots) else None
+        counted = 0
+        for row in range(len(table)):
+            self.nodes += int(reached[row]) - counted
+            counted = int(reached[row])
+            if end == stop:
+                yield table, alpha, row, verdicts
             else:
-                self._assign(pos, v)
-                children = [p.compress(mask[b], axis=1) for p, mask in zip(pendings, undecided)]
-                yield from self._walk(pos + 1, stop, children, path + (v,))
-        self._assign(pos, self.size)
+                yield from self._walk(
+                    table[row:row + 1], alpha[row:row + 1], pendings, end, stop
+                )
+        self.nodes += total - counted
 
-    def _snapshot(self, row: int) -> FiniteHomMagma:
+    def _window(self, table, alpha, pendings, pos, stop):
+        """Breadth first over slots pos..stop-1 below the one row of the
+        stacks.  Returns the alive rows that assign them all, in
+        lexicographic order, the pending triples left, each row's node
+        count (at each level, the position of its ancestor among that
+        level's children plus 1, so every child the DFS reached before it,
+        dead or alive), and the window's whole node count."""
+        reached = np.zeros(len(table), dtype=np.intp)
+        total = 0
+        width = len(self.domain)
+        for slot in range(pos, stop):
+            rows = len(table)
+            if not rows:
+                break
+            table = np.repeat(table, width, axis=0)
+            alpha = np.repeat(alpha, width, axis=0)
+            self._assign(table, alpha, slot, np.tile(self.values, rows))
+            reached = np.repeat(reached, width) + np.arange(1, rows * width + 1)
+            total += rows * width
+            rows, pendings = self._filter(table, alpha, pendings)
+            table, alpha, reached = table[rows], alpha[rows], reached[rows]
+        return table, alpha, pendings, reached, total
+
+    def _snapshot(self, table, alpha, row: int) -> FiniteHomMagma:
         s = self.size
         return new_magma(
-            s, self.table[row, :s, :s].tolist(), self.alpha[row, :s].tolist(),
+            s, table[row, :s, :s].tolist(), alpha[row, :s].tolist(),
             unit=self.unit, zero=self.zero,
         )
 
@@ -346,7 +419,7 @@ def _reverify(spec: SearchSpec, m: FiniteHomMagma) -> FiniteHomMagma:
     return m
 
 
-# Slots a task decides: the split depth leaves this many below each prefix.
+# Slots a window decides: the split depth leaves one window below each prefix.
 _TASK_SLOTS = 5
 
 
@@ -370,14 +443,17 @@ def _run_task(task):
 def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
     """Smallest countermodel within the bound, or an exhaustion certificate.
 
-    Every carrier size is cut at a fixed depth into small subtrees, one per
-    surviving prefix, and they form one lazy stream in lexicographic order.
-    At one worker each runs in this process in turn.  At more (at most one
-    per CPU), one process pool keeps up to two per worker in flight; it is
-    started only if the stream holds more than that window, and a shorter
-    stream runs in this process too.  Results are taken in stream order and
-    the stream stops at its first model, which is the serial DFS's first
-    model, so the verdict is the same for every worker count.
+    Every carrier size is cut at a fixed depth into subtrees of one window
+    each, one per surviving prefix, and they form one lazy stream in
+    lexicographic order.  At one worker each runs in this process in turn.
+    At more (at most one per CPU), one process pool keeps up to two per
+    worker in flight; it is started only if the stream holds more than
+    that window, and a shorter stream runs in this process too.  Results
+    are taken in stream order and the stream stops at its first model,
+    which is the least model in lexicographic order, so the verdict is the
+    same for every worker count.  The node and model counts are those of a
+    search that tries one value at a time, up to the tasks in flight when
+    the stream stops.
     """
     start = time.perf_counter()
     # Verdicts do not depend on the worker count, so more processes than

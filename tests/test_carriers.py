@@ -138,6 +138,16 @@ def test_magma_json_round_trip(num):
     {"elements": ["e1", "e2"], "unit": "e1", "products": {"e2": "e2"}},
     {"elements": ["e1", "e2"], "unit": "e1", "products": {"e2 e2 e2": "e2"}},
     {"elements": [f"e{k}" for k in range(1, MAX_RELATION_ELEMENT + 2)], "unit": "e1"},
+    # JSON values of the wrong type
+    [1, 2],
+    {"elements": [["a"]], "unit": None},
+    {"elements": [1, 2], "unit": 1},
+    {"elements": "e1 e2", "unit": "e1"},
+    {"elements": ["e1", "e2"], "unit": ["e1"]},
+    {"elements": ["e1", "e2"], "unit": "e1", "products": {"e2 e2": ["e1"]}},
+    {"elements": ["e1", "e2"], "unit": "e1", "products": [["e2 e2", "e1"]]},
+    {"elements": ["e1", "e2"], "unit": "e1", "alpha": {"e2": 1}},
+    {"elements": ["e1", "e2"], "unit": "e1", "zero": "false"},
 ])
 def test_magma_from_dict_refuses_malformed_structure_files(data):
     with pytest.raises(RelationSyntaxError):
@@ -200,6 +210,35 @@ def test_algebra_entries_outside_int64_are_structure_errors(entries):
     args = {"c": [[[1]]], "alpha": [[1]], "unit": None} | entries
     with pytest.raises(StructureError):
         new_algebra(7, args["c"], args["alpha"], "general", args["unit"])
+
+
+@pytest.mark.parametrize("p, entries", [
+    (7.0, {}),
+    ("7", {}),
+    (True, {}),
+    (7, {"c": [[[1.5]]]}),
+    (7, {"alpha": [[1.5]]}),
+    (7, {"unit": [1.5]}),
+    (7, {"c": [[[True]]]}),
+    (7, {"alpha": [["1"]]}),
+    (7, {"c": np.full((1, 1, 1), np.nan)}),
+])
+def test_algebra_entries_must_be_integers(p, entries):
+    args = {"c": [[[1]]], "alpha": [[1]], "unit": [1]} | entries
+    with pytest.raises(StructureError):
+        new_algebra(p, args["c"], args["alpha"], "general", args["unit"])
+    with pytest.raises(StructureError):
+        algebra_from_dict({"p": p} | args)
+
+
+def test_algebra_accepts_integer_arrays_and_integral_floats():
+    want = new_algebra(7, [[[1]]], [[3]], "general", [1])
+    for dtype in (np.int8, np.uint8, np.int32, np.int64, np.float64):
+        a = new_algebra(np.int64(7), np.ones((1, 1, 1), dtype=dtype),
+                        np.full((1, 1), 3, dtype=dtype), "general", np.ones(1, dtype=dtype))
+        assert a.p == 7 and type(a.p) is int
+        assert a.c.dtype == np.int64 and np.array_equal(a.c, want.c)
+        assert np.array_equal(a.alpha, want.alpha) and np.array_equal(a.unit, want.unit)
 
 
 def test_linearize_trivial():

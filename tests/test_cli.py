@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -160,11 +161,74 @@ def test_jacobiator_reduces_huge_vector_entries(capsys, algebra_file):
     {"p": 7, "c": [[[1]]], "alpha": [[1]], "unit": [2**64]},
     {"elements": ["e1", "e1"], "unit": "e1"},
     {"elements": ["e1", "0"], "unit": "e1"},
+    # JSON values of the wrong type
+    [1, 2],
+    "pc",
+    {"elements": [["a"]], "unit": None},
+    {"elements": [1, 2], "unit": 1},
+    {"elements": ["e1", "e2"], "unit": 1},
+    {"elements": ["e1", "e2"], "unit": "e1", "products": {"e2 e2": ["e1"]}},
+    {"elements": ["e1", "e2"], "unit": "e1", "alpha": {"e2": ["e1"]}},
+    # entries that are not integers, truncated in the past
+    {"p": 7.0, "c": [[[1]]], "alpha": [[1]]},
+    {"p": "7", "c": [[[1]]], "alpha": [[1]]},
+    {"p": True, "c": [[[1]]], "alpha": [[1]]},
+    {"p": 7, "c": [[[1.5]]], "alpha": [[1]]},
+    {"p": 7, "c": [[[1]]], "alpha": [[1.5]]},
+    {"p": 7, "c": [[[1]]], "alpha": [[1]], "unit": [1.5]},
 ])
 def test_unusable_structure_files_exit_two(capsys, tmp_path, data):
     path = tmp_path / "structure.json"
     path.write_text(json.dumps(data))
     assert main(["check", str(path), "--identity", "a(x)*a(y) = x*y"]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    {"max_n": 2, "require": ["I2"], "violate": ["I3"], "with_zero": "false"},
+    {"max_n": 2.7, "require": ["I2"], "violate": ["I3"]},
+    {"max_n": 2, "require": "I2", "violate": ["I3"]},
+    [1],
+    {"max_n": 2, "require": [5]},
+    {"max_n": True, "violate": ["I3"]},
+    {"max_n": "2", "violate": ["I3"]},
+    {"max_n": 2, "violate": "I3"},
+    {"max_n": 2, "violate": ["I3"], "custom": "x*y = y*x"},
+    {"max_n": 2, "violate": ["I3"], "unital": 1},
+    {"max_n": 2, "violate": ["I3"], "prune_isomorphs": None},
+], ids=(
+    "flag-string", "max-n-float", "require-string", "top-level-list", "require-int",
+    "max-n-bool", "max-n-string", "violate-string", "custom-string", "flag-int", "flag-null",
+))
+def test_malformed_spec_files_exit_two(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["search", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+# SHA-256 of the --json bytes, closing newline included: the paper's run
+# and the bound-4 countermodel must stay byte-identical at every worker
+# count.
+REPRODUCE3_JSON = (3271, "93e7dc8eb35a599037c535380b1fd8131c73d342cc32eddbbb01fcec81cdccbb")
+DEEP4_SEARCH_JSON = (163, "9a7e66c07acada1c4912c6d46420625d9fb57da0b8248c8fa33b82063194cc88")
+
+
+def _json_digest(capsys, argv, code):
+    assert main(argv) == code
+    out = capsys.readouterr().out.encode()
+    return len(out), hashlib.sha256(out).hexdigest()
+
+
+def test_json_output_bytes_are_pinned(capsys, tmp_path):
+    reproduce = ["reproduce", "--max-n", "3", "--json"]
+    assert _json_digest(capsys, reproduce, 0) == REPRODUCE3_JSON
+    path = tmp_path / "deep4.json"
+    path.write_text(json.dumps({"max_n": 4, "require": ["I2", "II1", "II3"], "violate": ["II2"]}))
+    for workers in ("1", "2"):
+        search = ["search", str(path), "--json", "--workers", workers]
+        assert _json_digest(capsys, search, 1) == DEEP4_SEARCH_JSON
 
 
 def test_export_round_trips_schemas(capsys, tmp_path):
@@ -205,7 +269,7 @@ def test_reverify_failure_exits_three(capsys, monkeypatch, tmp_path):
     from homlab import search
 
     monkeypatch.setattr(
-        search._SizeSearch, "_violating_rows", lambda self: [True] * len(self.domain)
+        search._SizeSearch, "_violating_rows", lambda self, table, alpha: [True] * len(table)
     )
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"max_n": 2, "require": ["I1"], "violate": ["I3"]}))

@@ -29,7 +29,8 @@ from homlab import (
     verify_hierarchy,
     verify_implication,
 )
-from homlab.search import _SizeSearch, _tasks
+from homlab.evaluate import magma_program, magma_sides
+from homlab.search import _SizeSearch, _tasks, resolve_requirement
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -311,6 +312,118 @@ def test_split_at_every_depth_matches_the_whole_search(spec):
         assert models == serial
         assert cube.nodes + nodes == whole.nodes
         assert leaves == whole.models
+
+
+def _reference_dfs(spec, nonzero, first_only):
+    """Test-local reference walk: a DFS over one carrier size that tries one
+    value per slot (table cells row-major, then alpha; zero first), filters
+    each required identity's pending triples on a padded table through
+    evaluate.magma_sides, and counts each child when it reaches it.
+    Returns (models, nodes, leaves); with first_only it stops at the first
+    model."""
+    size = nonzero + (1 if spec.with_zero else 0)
+    zero = nonzero if spec.with_zero else None
+    unit = 0 if spec.unital else None
+    table = np.full((size + 1, size + 1), size, dtype=np.intp)
+    alpha = np.full(size + 1, size, dtype=np.intp)
+    if unit is not None:
+        table[unit, :size] = table[:size, unit] = np.arange(size)
+    if zero is not None:
+        table[zero, :size] = table[:size, zero] = zero
+        alpha[zero] = zero
+    lo = 0 if unit is None else 1
+    cells = [(table, (i, j)) for i in range(lo, nonzero) for j in range(lo, nonzero)]
+    cells += [(alpha, i) for i in range(nonzero)]
+    domain = ([] if zero is None else [zero]) + list(range(nonzero))
+    required = [magma_program(resolve_requirement(r)) for r in spec.require]
+    forbidden = [magma_program(resolve_requirement(v)) for v in spec.violate]
+    grid = np.indices((size,) * 3).reshape(3, -1)
+    models, count = [], {"nodes": 0, "leaves": 0}
+
+    def pending(pendings):
+        """Each identity's triples still undecided, or None if one fails."""
+        out = []
+        for program, triples in zip(required, pendings):
+            lhs, rhs = np.broadcast_arrays(*magma_sides(program, table, alpha, unit, triples))
+            decided = (lhs != size) & (rhs != size)
+            if (lhs != rhs)[decided].any():
+                return None
+            out.append(triples[:, ~decided])
+        return out
+
+    def dfs(pos, pendings):
+        if pos == len(cells):
+            count["leaves"] += 1
+            if all((np.not_equal(*magma_sides(p, table, alpha, unit, grid))).any()
+                   for p in forbidden):
+                models.append(new_magma(size, table[:size, :size].tolist(),
+                                        alpha[:size].tolist(), unit=unit, zero=zero))
+                return first_only
+            return False
+        array, index = cells[pos]
+        for value in domain:
+            count["nodes"] += 1
+            array[index] = value
+            children = pending(pendings)
+            if children is not None and dfs(pos + 1, children):
+                return True
+        array[index] = size
+        return False
+
+    root = pending([grid] * len(required))
+    if root is not None:
+        dfs(0, root)
+    return models, count["nodes"], count["leaves"]
+
+
+def _split_walk(spec, depth, first_only):
+    """_SizeSearch cut at depth, read the way find_model reads it at one
+    worker: (models, nodes, leaves)."""
+    cube = _SizeSearch(spec, spec.max_n)
+    models, nodes, leaves = [], 0, 0
+    for prefix in cube.prefixes(depth):
+        part = _SizeSearch(spec, spec.max_n)
+        found = part.run(prefix)
+        models += itertools.islice(found, 1) if first_only else found
+        nodes += part.nodes
+        leaves += part.models
+        if first_only and models:
+            break
+    return models, cube.nodes + nodes, leaves
+
+
+REFERENCE_SPECS = SPLIT_SPECS + (
+    SearchSpec(max_n=3, require=("II2", "II3"), violate=("II1",)),
+    SearchSpec(max_n=3, require=("I1", "II3"), violate=("II2",)),
+    SearchSpec(max_n=3, require=("x*(y*z) = (x*y)*z",), violate=("x*y = y*x",), with_zero=False),
+)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=(
+    "zero-unit", "unit", "bare", "zero", "II2-II3", "exhausted", "assoc-noncomm",
+))
+def test_window_walk_matches_the_one_value_dfs(spec):
+    whole = _reference_dfs(spec, spec.max_n, first_only=False)
+    first = _reference_dfs(spec, spec.max_n, first_only=True)
+    assert first[0] == whole[0][:1]
+    slots = len(_SizeSearch(spec, spec.max_n).slots)
+    for depth in range(slots + 1):
+        assert _split_walk(spec, depth, first_only=False) == whole
+        assert _split_walk(spec, depth, first_only=True) == first
+
+
+@pytest.mark.parametrize("with_zero, models, nodes", [
+    (False, 2_187, 3_279),
+    (True, 16_384, 21_844),
+])
+def test_unpruned_walk_spans_two_windows(with_zero, models, nodes):
+    search = _SizeSearch(SearchSpec(max_n=3, with_zero=with_zero), 3)
+    assert len(search.slots) == 7  # more than one window of _TASK_SLOTS
+    assert search.table.dtype == search.alpha.dtype == np.uint8
+    keys = [model_key(m) for m in search.run()]
+    assert len(keys) == models
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert (search.nodes, search.models) == (nodes, models)
 
 
 DEEP4 = SearchSpec(max_n=4, require=("I2", "II1", "II3"), violate=("II2",))
