@@ -356,9 +356,22 @@ class FieldHomAlgebra:
     unit: Optional[np.ndarray]
 
     def product(self, u, v) -> np.ndarray:
+        """u * v, broadcast over the leading axes of u and v.
+
+        The structure constants are contracted first with the operand that
+        holds fewer entries, then with the other one, and the sums are
+        reduced mod p only at the end.  Operands and constants are reduced
+        below p, so the first sums are at most dim * (p-1)**2 and the second
+        at most dim**2 * (p-1)**3, which :func:`new_algebra` keeps below
+        2**63.
+        """
         u = np.asarray(u, dtype=np.int64) % self.p
         v = np.asarray(v, dtype=np.int64) % self.p
-        return np.einsum("...i,...j,ijk->...k", u, v, self.c) % self.p
+        if u.size <= v.size:
+            sums = np.einsum("...j,...jk->...k", v, np.einsum("...i,ijk->...jk", u, self.c))
+        else:
+            sums = np.einsum("...i,...ik->...k", u, np.einsum("...j,ijk->...ik", v, self.c))
+        return sums % self.p
 
     def bracket(self, u, v) -> np.ndarray:
         """The product itself when skew, the commutator u*v - v*u otherwise."""
@@ -405,8 +418,10 @@ def _int64_array(values, what) -> np.ndarray:
 def new_algebra(p, c, alpha, kind="general", unit=None) -> FieldHomAlgebra:
     """Validate and build a hom-algebra over Z/p.
 
-    Products are summed exactly in int64, so dim**2 * (p - 1)**3 must stay
-    below 2**63.
+    Products are summed exactly in int64 and reduced mod p once, at the end
+    of :meth:`FieldHomAlgebra.product`.  Its first contraction sums dim
+    terms of at most (p - 1)**2 and its second dim terms of at most
+    dim * (p - 1)**3, so dim**2 * (p - 1)**3 must stay below 2**63.
     """
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise StructureError(f"p must be an integer, not {p!r}")

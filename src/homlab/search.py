@@ -178,6 +178,7 @@ def spec_to_dict(spec: SearchSpec) -> dict:
 
 # Most cells (rows x triples) one kernel run decides.  A larger level runs
 # in chunks of rows, so that memory stays bounded where pruning is weak.
+# canonical_form keys its relabelings in blocks of as many cells.
 _KERNEL_CELLS = 1 << 14
 
 
@@ -532,21 +533,38 @@ def enumerate_models(spec: SearchSpec, limit: int) -> list:
 def canonical_form(m: FiniteHomMagma) -> FiniteHomMagma:
     """Least relabeling of the magma, fixing the unit (index 0) and the
     zero (last index).  Two magmas are isomorphic as pointed structures
-    iff their canonical forms are equal."""
+    iff their canonical forms are equal.
+
+    The relabelings list the unit, an ordering of the other elements, then
+    the zero.  They are keyed in blocks of at most ``_KERNEL_CELLS`` cells,
+    so memory stays bounded whatever the size of the magma.
+    """
+    n = m.size
     head = [] if m.unit is None else [m.unit]
     tail = [] if m.zero is None else [m.zero]
-    others = [i for i in range(m.size) if i not in (m.unit, m.zero)]
-
-    def relabeled(middle):
-        perm = [0] * m.size
-        for new, old in enumerate(head + list(middle) + tail):
-            perm[old] = new
-        return m.relabel(perm)
-
+    others = [i for i in range(n) if i not in (m.unit, m.zero)]
+    table = np.array(m.table, dtype=np.intp)
+    alpha = np.array(m.alpha, dtype=np.intp)
+    zero = None if m.zero is None else n - 1
+    rank = np.array([_value_key(v, zero) for v in range(n)])
+    step = max(_KERNEL_CELLS // (n * n + n), 1)
+    orderings = itertools.permutations(others)
+    best = None
+    while block := list(itertools.islice(orderings, step)):
+        # order[b, new] is the old element relabeled new, perm its inverse.
+        order = np.array([head + list(middle) + tail for middle in block], dtype=np.intp)
+        rows = np.arange(len(order))[:, None]
+        perm = np.empty_like(order)
+        perm[rows, order] = np.arange(n)
+        cells = table[order[:, :, None], order[:, None, :]].reshape(len(order), -1)
+        keys = rank[np.hstack([perm[rows, cells], perm[rows, alpha[order]]])]
+        least = np.lexsort(keys.T[::-1])[0]
+        key = keys[least].tolist()
+        if best is None or key < best[0]:
+            best = (key, perm[least].tolist())
     # With the unit and the zero in place, equal keys mean equal tables and
     # twists, and the names are replaced below: a tie leaves nothing to choose.
-    best = min(map(relabeled, itertools.permutations(others)), key=model_key)
-    return replace(best, names=_default_names(m.size, best.zero))
+    return replace(m.relabel(best[1]), names=_default_names(n, zero))
 
 
 def verify_implication(premises, conclusion, max_n: int, workers: int = 1) -> Verdict:

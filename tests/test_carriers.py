@@ -201,6 +201,77 @@ def test_algebra_products_stay_exact_or_are_refused(monkeypatch):
         new_algebra(p, np.zeros((2, 2, 2)), np.eye(2))
 
 
+def _reference_product(a, u, v):
+    """u * v by the definition, sum over i, j of u_i v_j c_ijk mod p, in
+    Python integers over the broadcast batch."""
+    u, v = np.asarray(u), np.asarray(v)
+    batch = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
+    u, v = np.broadcast_to(u, batch + (a.dim,)), np.broadcast_to(v, batch + (a.dim,))
+    c = a.c.tolist()
+    out = np.zeros(batch + (a.dim,), dtype=np.int64)
+    for at in np.ndindex(*batch):
+        x, y = [int(t) for t in u[at]], [int(t) for t in v[at]]
+        for k in range(a.dim):
+            total = sum(
+                x[i] * y[j] * c[i][j][k] for i in range(a.dim) for j in range(a.dim)
+            )
+            out[at + (k,)] = total % a.p
+    return out
+
+
+def _random_algebra(rng, p, dim, kind):
+    c = rng.integers(0, p, (dim, dim, dim))
+    if kind == "skew":
+        c = np.triu(np.ones((dim, dim), dtype=np.int64), 1)[:, :, None] * c
+        c = c - c.transpose(1, 0, 2)
+    return new_algebra(p, c, np.eye(dim), kind)
+
+
+@pytest.mark.parametrize("kind", ["general", "skew"])
+@pytest.mark.parametrize("dim", [1, 3, 12])
+def test_product_matches_the_definition(dim, kind):
+    rng = np.random.default_rng(dim)
+    p = 7
+    a = _random_algebra(rng, p, dim, kind)
+    e = np.eye(dim, dtype=np.int64)
+    wide = rng.integers(-3 * p, 3 * p, (4, dim))  # unreduced and negative entries
+    pairs = [
+        (wide[0], wide),                            # u broadcasts
+        (wide, wide[1]),                            # v broadcasts
+        (wide, wide[::-1]),                         # equal shapes
+        (e[:, None, :], e[None, :, :]),             # a basis grid
+        (wide[:, None, None, :], wide[None, :2]),   # u holds more entries
+        (np.zeros((0, dim), dtype=np.int64), wide[2]),  # empty batch
+        (wide[3], np.zeros((2, 0, dim), dtype=np.int64)),
+    ]
+    for u, v in pairs:
+        got = a.product(u, v)
+        want = _reference_product(a, u, v)
+        assert got.shape == want.shape
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_product_at_the_largest_prime_of_dimension_two_does_not_wrap():
+    # The largest prime with 2**2 * (p-1)**3 < 2**63: with every entry p - 1
+    # the unreduced sum is 4 * (p-1)**3, just below 2**63.
+    p = 1321109
+    assert modp.is_prime(p) and 4 * (p - 1) ** 3 < 2**63
+    higher = next(q for q in range(p + 1, 2 * p) if modp.is_prime(q))
+    assert 4 * (higher - 1) ** 3 >= 2**63
+    with pytest.raises(StructureError):
+        new_algebra(higher, np.zeros((2, 2, 2)), np.eye(2))
+    a = new_algebra(p, np.full((2, 2, 2), p - 1), np.eye(2))
+    top = np.full((3, 2), p - 1)
+    pairs = [(top, top), (top[0], top), (top, top[0]), (top[0], top[0])]
+    # Operands are reduced before they are summed: p - 1 + 5p and p - 1 - 9p too.
+    pairs.append((top + 5 * p, top[0] - 9 * p))
+    for u, v in pairs:
+        got = a.product(u, v)
+        assert np.all(got == 4 * (p - 1) ** 3 % p)
+        assert np.array_equal(got, _reference_product(a, u, v))
+
+
 @pytest.mark.parametrize("entries", [
     {"c": [[[2**70]]]},
     {"alpha": [[2**64]]},

@@ -169,6 +169,22 @@ def test_magma_and_linearized_profiles_agree(num, p):
         assert holds(m, builtin(tag)) == holds_multilinear(a, builtin(tag))
 
 
+def test_linearized_profiles_agree_at_dimension_ten_and_twelve():
+    rng = np.random.default_rng(12)
+    n, size = 10, 11
+    table = rng.integers(0, size, (size, size))
+    table[0, :], table[:, 0] = np.arange(size), np.arange(size)
+    table[n, :], table[:, n] = n, n
+    alpha = rng.integers(0, size, size)
+    alpha[n] = n
+    random = new_magma(size, table.tolist(), alpha.tolist(), unit=0, zero=n)
+    killed = new_magma(size, table.tolist(), [n] * size, unit=0, zero=n)
+    group = cyclic_group_magma(12, 5)
+    for m in (group, random, killed):
+        assert type_profile(linearize(m, 7)).names("assoc") == type_profile(m).names("assoc")
+    assert type_profile(group).names("assoc") == frozenset(HAND_CODED)
+
+
 def test_jacobiator_abelian_is_zero():
     a = new_algebra(7, np.zeros((3, 3, 3)), np.arange(9).reshape(3, 3) % 7, "skew")
     e = a.basis()

@@ -1,8 +1,10 @@
 import itertools
+import math
 import multiprocessing
 import multiprocessing.pool
 import os
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +32,7 @@ from homlab import (
     verify_implication,
 )
 from homlab.evaluate import magma_program, magma_sides
-from homlab.search import _SizeSearch, _tasks, resolve_requirement
+from homlab.search import _KERNEL_CELLS, _SizeSearch, _tasks, resolve_requirement
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -215,6 +217,42 @@ def test_canonical_form_is_the_brute_force_minimum():
         assert c.zero == (None if m.zero is None else m.size - 1)
         nonzero = [f"e{k}" for k in range(1, m.nonzero_count() + 1)]
         assert c.names == tuple(nonzero + ([] if m.zero is None else ["0"]))
+
+
+def test_canonical_form_edge_cases_and_many_blocks():
+    # The 7! orderings of the non-unit elements of a group of order 8 span
+    # several blocks.  The four automorphisms of Z/8 tie four of them on the
+    # least table; the twist x -> x+3 breaks the tie, x -> x+4 does not.
+    assert math.factorial(7) * (8 * 8 + 8) > 2 * _KERNEL_CELLS
+    group = cyclic_group_magma(8, 3)
+    relabeled = group.relabel([3, 0, 6, 1, 7, 2, 5, 4])
+    assert relabeled.unit == 3 and relabeled.table != group.table
+    magmas = [
+        new_magma(1, [[0]], [0], unit=0),  # the unit alone
+        new_magma(2, [[0, 1], [1, 1]], [1, 1], unit=0, zero=1),  # one empty ordering
+        group,
+        relabeled,
+        cyclic_group_magma(8, 4),
+    ]
+    forms = [canonical_form(m) for m in magmas]
+    for m, c in zip(magmas, forms):
+        assert (c.table, c.alpha) == _brute_canonical(m)
+        assert c.unit == 0 and c.zero == (None if m.zero is None else m.size - 1)
+    assert forms[0].names == ("e1",) and forms[1].names == ("e1", "0")
+    assert forms[3] == forms[2]
+
+
+def test_canonical_form_memory_is_bounded_by_a_block():
+    # Keying all 5,040 orderings of this magma at once would take more than
+    # 5,040 * 72 int64 cells (2.9 MB); one block takes a small fraction.
+    m = cyclic_group_magma(8, 3)
+    tracemalloc.start()
+    try:
+        canonical_form(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5040 * 72 * 8 // 2
 
 
 def test_spec_validation():
