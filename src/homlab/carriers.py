@@ -359,19 +359,24 @@ class FieldHomAlgebra:
         """u * v, broadcast over the leading axes of u and v.
 
         The structure constants are contracted first with the operand that
-        holds fewer entries, then with the other one, and the sums are
-        reduced mod p only at the end.  Operands and constants are reduced
-        below p, so the first sums are at most dim * (p-1)**2 and the second
-        at most dim**2 * (p-1)**3, which :func:`new_algebra` keeps below
-        2**63.
+        holds fewer entries, then with the other one, each contraction one
+        integer matmul, and the sums are reduced mod p only at the end.
+        Operands and constants are reduced below p, so the first sums are at
+        most dim * (p-1)**2 and the second at most dim**2 * (p-1)**3, which
+        :func:`new_algebra` keeps below 2**63.
         """
+        d = self.dim
         u = np.asarray(u, dtype=np.int64) % self.p
         v = np.asarray(v, dtype=np.int64) % self.p
         if u.size <= v.size:
-            sums = np.einsum("...j,...jk->...k", v, np.einsum("...i,ijk->...jk", u, self.c))
+            # uc[..., j, k] = sum_i u[..., i] c[i, j, k], then sum over j with v.
+            uc = (u @ self.c.reshape(d, d * d)).reshape(u.shape[:-1] + (d, d))
+            sums = v[..., None, :] @ uc
         else:
-            sums = np.einsum("...i,...ik->...k", u, np.einsum("...j,ijk->...ik", v, self.c))
-        return sums % self.p
+            # vc[..., i, k] = sum_j v[..., j] c[i, j, k], then sum over i with u.
+            vc = (v @ self.c.transpose(1, 0, 2).reshape(d, d * d)).reshape(v.shape[:-1] + (d, d))
+            sums = u[..., None, :] @ vc
+        return sums[..., 0, :] % self.p
 
     def bracket(self, u, v) -> np.ndarray:
         """The product itself when skew, the commutator u*v - v*u otherwise."""
@@ -380,8 +385,9 @@ class FieldHomAlgebra:
         return (self.product(u, v) - self.product(v, u)) % self.p
 
     def twist(self, u) -> np.ndarray:
+        """alpha applied to u, broadcast over the leading axes of u."""
         u = np.asarray(u, dtype=np.int64) % self.p
-        return np.einsum("ki,...i->...k", self.alpha, u) % self.p
+        return (u @ self.alpha.T) % self.p
 
     def basis(self) -> np.ndarray:
         return np.eye(self.dim, dtype=np.int64)

@@ -6,6 +6,15 @@ suite leans on: for a Lie bracket the three degree-one jacobiators sum to
 zero for every linear twist, and so do the three degree-two ones (apply
 the twist/id exchange).  The nine-term expansion of the twisted bracket's
 jacobiator is checked against its closed form exactly, term by term.
+
+The jacobiator-sum and type-implication checks evaluate a whole stack of
+twists at once: the twist is a leading batch axis of the basis grid, and
+each cyclic rotation of each tag's program runs once for the stack through
+the algebra's bracket and a twist that maps row k by the k-th matrix.  A
+random-twist sweep checks the Lie hypothesis once, draws its seeded twists
+in order, and evaluates them in blocks whose (K, d, d, d, d) grid holds at
+most ``_SWEEP_CELLS`` cells, so its memory does not grow with the number of
+samples; the single-twist checks are the stack of one.
 """
 
 from __future__ import annotations
@@ -20,11 +29,13 @@ from .errors import HypothesisNotMet, InvariantViolation, StructureError
 from .evaluate import (
     PLAIN_JACOBI,
     basis_grids,
+    compile_identity,
     cyclic_sum,
     holds_multilinear,
     is_lie,
     is_morphism,
     jacobiator,
+    run_program,
     twisted_bracket,
 )
 from .terms import TypeTag, builtin, parse_identity
@@ -168,24 +179,98 @@ def random_twist(d: int, p: int, rng: np.random.Generator) -> np.ndarray:
 
 # -------------------------------------------------------- jacobiator sums
 
+# Cells of the (K, d, d, d, d) basis grid of one block of a sweep's twists.
+_SWEEP_CELLS = 1 << 14
+
+_DEGREE_ONE = ("I1", "I2", "I3")
+_DEGREE_TWO = ("II1", "II2", "II3")
+_IMPLICATION_TYPES = ("I1", "I2", "II1", "II2")
+
+
+def _twisted_jacobiators(algebra: FieldHomAlgebra, twists: np.ndarray, names) -> dict:
+    """{name: (K, d, d, d, d) array}: the jacobiator of each lie tag on the
+    basis grid under each twist of the (K, d, d) stack, mod p.
+
+    Entry [k, i, j, l] is the cyclic sum at (e_i, e_j, e_l) with twist
+    twists[k].  The grids carry a leading axis of length 1, and the twist
+    maps row k of a value by twists[k], whose columns are the images of the
+    basis vectors, as :meth:`FieldHomAlgebra.twist` does.  Every name must
+    be a tag whose terms twist a variable, so each sum spans the K axis.
+    """
+    p, d = algebra.p, algebra.dim
+    images = np.asarray(twists, dtype=np.int64).transpose(0, 2, 1) % p
+
+    def twist(u):
+        rows = u.reshape(u.shape[0], -1, d) @ images
+        return rows.reshape((len(images),) + u.shape[1:]) % p
+
+    grids = [g[None] for g in basis_grids(algebra)]
+    out = {}
+    for name in names:
+        program = compile_identity(builtin(_lie_tag(name)))
+        total = 0
+        for k in range(3):
+            x, y, z = grids[k:] + grids[:k]
+            env = {"x": x, "y": y, "z": z}
+            total = total + run_program(program, env, algebra.unit, twist, algebra.bracket)[0]
+        out[name] = total % p
+    return out
+
+
+def _vanishes(sums: np.ndarray) -> np.ndarray:
+    """(K,) booleans: row k of a (K, ...) stack is zero."""
+    return ~sums.reshape(len(sums), -1).any(axis=1)
+
+
+def _jacobiator_sums_vanish(algebra: FieldHomAlgebra, twists: np.ndarray) -> np.ndarray:
+    """(K,) booleans: under twists[k] the degree-one jacobiators sum to zero
+    on the basis grid, and so do the degree-two ones."""
+    j = _twisted_jacobiators(algebra, twists, _DEGREE_ONE + _DEGREE_TWO)
+    first = sum(j[n] for n in _DEGREE_ONE) % algebra.p
+    second = sum(j[n] for n in _DEGREE_TWO) % algebra.p
+    return _vanishes(first) & _vanishes(second)
+
+
+def _lie_type_verdicts(algebra: FieldHomAlgebra, twists: np.ndarray) -> np.ndarray:
+    """(K, 4) booleans: whether lie I1, I2, II1 and II2 hold under twists[k]."""
+    j = _twisted_jacobiators(algebra, twists, _IMPLICATION_TYPES)
+    return np.stack([_vanishes(j[n]) for n in _IMPLICATION_TYPES], axis=1)
+
+
+def _require_lie(algebra: FieldHomAlgebra, what: str):
+    if not is_lie(algebra):
+        raise HypothesisNotMet(f"{what} presuppose a Lie bracket")
+
+
+def _sweep_blocks(algebra: FieldHomAlgebra, samples: int, seed: int, verdicts):
+    """verdicts(algebra, twists) on each block of a sweep's twists.
+
+    The samples twists are drawn by :func:`random_twist` in order from the
+    seeded generator, and stacked so that a block's (K, d, d, d, d) grid
+    holds at most _SWEEP_CELLS cells; each block is drawn only when reached.
+    """
+    if samples < 0:
+        raise ValueError(f"samples must not be negative, got {samples}")
+    rng = np.random.default_rng(seed)
+    d, p = algebra.dim, algebra.p
+    step = max(_SWEEP_CELLS // d**4, 1)
+    for start in range(0, samples, step):
+        count = min(step, samples - start)
+        yield verdicts(algebra, np.array([random_twist(d, p, rng) for _ in range(count)]))
+
+
 def verify_jacobiator_sums(algebra: FieldHomAlgebra) -> bool:
     """For a Lie bracket: the degree-one jacobiators sum to zero on every
     basis triple, and so do the degree-two ones.  Requires is_lie."""
-    if not is_lie(algebra):
-        raise HypothesisNotMet("jacobiator-sum identities presuppose a Lie bracket")
-    x, y, z = basis_grids(algebra)
-    first = sum(jacobiator(algebra, _lie_tag(n), x, y, z) for n in ("I1", "I2", "I3"))
-    second = sum(jacobiator(algebra, _lie_tag(n), x, y, z) for n in ("II1", "II2", "II3"))
-    return not np.any(first % algebra.p) and not np.any(second % algebra.p)
+    _require_lie(algebra, "jacobiator-sum identities")
+    return bool(_jacobiator_sums_vanish(algebra, algebra.alpha[None])[0])
 
 
 def sweep_jacobiator_sums(algebra: FieldHomAlgebra, samples: int, seed: int) -> bool:
-    """verify_jacobiator_sums across seeded random twists of the algebra."""
-    rng = np.random.default_rng(seed)
-    return all(
-        verify_jacobiator_sums(algebra.with_twist(random_twist(algebra.dim, algebra.p, rng)))
-        for _ in range(samples)
-    )
+    """verify_jacobiator_sums across seeded random twists of the algebra,
+    evaluated a block of twists at a time.  Requires is_lie."""
+    _require_lie(algebra, "jacobiator-sum identities")
+    return all(v.all() for v in _sweep_blocks(algebra, samples, seed, _jacobiator_sums_vanish))
 
 
 @dataclass(frozen=True)
@@ -204,25 +289,24 @@ class LieImplicationReport:
         )
 
 
+def _implication_report(row) -> LieImplicationReport:
+    return LieImplicationReport(*(bool(v) for v in row))
+
+
 def verify_lie_type_implications(algebra: FieldHomAlgebra) -> LieImplicationReport:
     """Check I2 => I1 and II2 => II1 for this carrier.  Requires is_lie."""
-    if not is_lie(algebra):
-        raise HypothesisNotMet("type implications here presuppose a Lie bracket")
-    return LieImplicationReport(
-        holds_i1=holds_multilinear(algebra, builtin(_lie_tag("I1"))),
-        holds_i2=holds_multilinear(algebra, builtin(_lie_tag("I2"))),
-        holds_ii1=holds_multilinear(algebra, builtin(_lie_tag("II1"))),
-        holds_ii2=holds_multilinear(algebra, builtin(_lie_tag("II2"))),
-    )
+    _require_lie(algebra, "type implications here")
+    return _implication_report(_lie_type_verdicts(algebra, algebra.alpha[None])[0])
 
 
 def sweep_lie_type_implications(algebra: FieldHomAlgebra, samples: int, seed: int) -> bool:
-    rng = np.random.default_rng(seed)
+    """verify_lie_type_implications across seeded random twists of the
+    algebra, evaluated a block of twists at a time.  Requires is_lie."""
+    _require_lie(algebra, "type implications here")
     return all(
-        verify_lie_type_implications(
-            algebra.with_twist(random_twist(algebra.dim, algebra.p, rng))
-        ).passed
-        for _ in range(samples)
+        _implication_report(row).passed
+        for block in _sweep_blocks(algebra, samples, seed, _lie_type_verdicts)
+        for row in block
     )
 
 
@@ -298,8 +382,7 @@ class TwistedBracketReport:
 
 def verify_twisted_bracket_lie(algebra: FieldHomAlgebra) -> TwistedBracketReport:
     """Requires is_lie; checks the twisted bracket under each hypothesis."""
-    if not is_lie(algebra):
-        raise HypothesisNotMet("twisted-bracket checks presuppose a Lie bracket")
+    _require_lie(algebra, "twisted-bracket checks")
     morphism = is_morphism(algebra)
     hom_pair = holds_multilinear(algebra, builtin(_lie_tag("II"))) and holds_multilinear(
         algebra, builtin(_lie_tag("II1"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,13 @@ from homlab import (
     verify_lie_type_implications,
     verify_twisted_bracket_lie,
 )
+from homlab.evaluate import basis_grids
 from homlab.liecheck import (
+    _SWEEP_CELLS,
+    _jacobiator_sums_vanish,
+    _lie_type_verdicts,
+    _sweep_blocks,
+    _twisted_jacobiators,
     heisenberg_algebra,
     random_skew_constants,
     random_twist,
@@ -127,6 +135,98 @@ def test_jacobiator_sum_sweeps_are_seeded():
     a = sl2_algebra(7)
     assert sweep_jacobiator_sums(a, samples=10, seed=4) is True
     assert sweep_jacobiator_sums(a, samples=10, seed=4) is True
+
+
+@pytest.mark.parametrize("sweep", [sweep_jacobiator_sums, sweep_lie_type_implications])
+def test_sweeps_check_the_lie_hypothesis_at_any_sample_count(sweep):
+    for samples in (0, 3):
+        with pytest.raises(HypothesisNotMet):
+            sweep(nonlie_hom_iii_algebra(7), samples, 0)
+    with pytest.raises(ValueError):
+        sweep(sl2_algebra(7), -3, 0)
+    assert sweep(sl2_algebra(7), 0, 0) is True
+
+
+# -------------------------------------------------- stacked twist sweeps
+
+DEGREE_ONE_AND_TWO = ("I1", "I2", "I3", "II1", "II2", "II3")
+IMPLICATION_TYPES = ("I1", "I2", "II1", "II2")
+
+
+def special_and_random_twists(d, seed):
+    """The zero twist, the identity, a scalar, a shear and its transpose,
+    then seeded random twists."""
+    shear = np.eye(d, dtype=np.int64)
+    shear[0, d - 1] = 1
+    special = [np.zeros((d, d), dtype=np.int64), np.eye(d, dtype=np.int64),
+               3 * np.eye(d, dtype=np.int64), shear, shear.T]
+    rng = np.random.default_rng(seed)
+    return np.array(special + [random_twist(d, 7, rng) for _ in range(8)])
+
+
+@pytest.mark.parametrize("a", [
+    abelian_algebra(3, 7), solvable2_algebra(7), sl2_algebra(7), heisenberg_algebra(7),
+    i1_not_i2_algebra(7), solvable_morphism_algebra(7),
+], ids=["abelian", "solvable2", "sl2", "heisenberg", "i1-not-i2", "solvable-morphism"])
+def test_stacked_twists_agree_with_each_twist(a):
+    # Every sum vanishes under every twist, so only a comparison twist by
+    # twist, not the sweep's all(), shows a misaligned or transposed stack.
+    twists = special_and_random_twists(a.dim, seed=a.dim)
+    values = _twisted_jacobiators(a, twists, DEGREE_ONE_AND_TWO)
+    verdicts = _lie_type_verdicts(a, twists)
+    assert _jacobiator_sums_vanish(a, twists).all()
+    for k, t in enumerate(twists):
+        b = a.with_twist(t)
+        for name in DEGREE_ONE_AND_TWO:
+            expected = jacobiator(b, lie_tag(name), *basis_grids(b))
+            assert np.array_equal(values[name][k], expected), (k, name)
+        assert verdicts[k].tolist() == [
+            holds_multilinear(b, builtin(lie_tag(name))) for name in IMPLICATION_TYPES
+        ], k
+
+
+@pytest.mark.parametrize("extra", [0, 5])
+def test_sweep_blocks_match_one_twist_at_a_time(extra):
+    # Two full blocks, then (with extra) a third, partial one.
+    a = sl2_algebra(7)
+    step = _SWEEP_CELLS // a.dim**4
+    samples = 2 * step + extra
+
+    def stacked(algebra, twists):
+        values = _twisted_jacobiators(algebra, twists, ("I2", "II3"))
+        return twists, values, _lie_type_verdicts(algebra, twists)
+
+    results = list(_sweep_blocks(a, samples, 11, stacked))
+    assert [len(t) for t, _, _ in results] == [step, step] + ([extra] if extra else [])
+    rng = np.random.default_rng(11)
+    k = 0
+    for twists, values, verdicts in results:
+        for row, t in enumerate(twists):
+            assert np.array_equal(t, random_twist(a.dim, a.p, rng))
+            one = _twisted_jacobiators(a, t[None], ("I2", "II3"))
+            for name in ("I2", "II3"):
+                assert np.array_equal(values[name][row], one[name][0]), (k, name)
+            assert np.array_equal(verdicts[row], _lie_type_verdicts(a, t[None])[0]), k
+            k += 1
+    assert k == samples
+
+
+def test_sweep_memory_is_bounded_by_a_block():
+    # A block's working set is about ten (K, d, d, d, d) grids of at most
+    # _SWEEP_CELLS int64 cells: the six sums and the partial values.  The
+    # 2,000 twists stacked at once would need about ten times that.
+    a = sl2_algebra(7)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert sweep_jacobiator_sums(a, samples, 0)
+            assert sweep_lie_type_implications(a, samples, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) < peak(50) + 12 * _SWEEP_CELLS * 8
 
 
 # ----------------------------------------------------- type implications

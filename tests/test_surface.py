@@ -47,8 +47,8 @@ def test_public_names_importable():
     assert not missing
 
 
-# Demo 05 repeats the full reproduction that acceptance 09 already runs.
-@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py")))
+# Every narrative demo, the full reproduction of demo 05 included.
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
