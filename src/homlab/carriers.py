@@ -267,14 +267,27 @@ def magma_to_dict(m: FiniteHomMagma) -> dict:
     }
 
 
+def _refuse_unknown_keys(data: dict, known: tuple, error, what: str):
+    """Raise error naming every key of data outside known: a key that
+    nothing reads, such as a misspelt one, would otherwise go unnoticed."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise error(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                    f"expected {', '.join(known)}")
+
+
 def magma_from_dict(data: dict) -> FiniteHomMagma:
     """Inverse of :func:`magma_to_dict`.
 
     Element names must be distinct, at most ``MAX_RELATION_ELEMENT`` of
-    them, and ``0`` names the adjoined zero when there is one.
+    them, and ``0`` names the adjoined zero when there is one.  Keys other
+    than those :func:`magma_to_dict` writes are refused.
     """
     if not isinstance(data, dict):
         raise RelationSyntaxError("a structure must be a JSON object")
+    _refuse_unknown_keys(
+        data, ("elements", "unit", "zero", "products", "alpha"), RelationSyntaxError, "structure"
+    )
     elements = data["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise RelationSyntaxError("elements must be a list of names (strings)")
@@ -481,13 +494,24 @@ def algebra_to_dict(a: FieldHomAlgebra) -> dict:
 
 
 def algebra_from_dict(data: dict) -> FieldHomAlgebra:
-    return new_algebra(
+    """Inverse of :func:`algebra_to_dict`.  ``dim`` may be left out; when
+    given, it must be the edge of the cube ``c``.  Other keys are refused."""
+    if not isinstance(data, dict):
+        raise StructureError("an algebra must be a JSON object")
+    _refuse_unknown_keys(
+        data, ("p", "dim", "c", "alpha", "kind", "unit"), StructureError, "algebra"
+    )
+    a = new_algebra(
         data["p"],
         data["c"],
         data["alpha"],
         data.get("kind", "general"),
         data.get("unit"),
     )
+    dim = data.get("dim", a.dim)
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim != a.dim:
+        raise StructureError(f"dim = {dim!r}, but the structure constants have dimension {a.dim}")
+    return a
 
 
 def linearize(magma: FiniteHomMagma, p: int) -> FieldHomAlgebra:

@@ -52,7 +52,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import evaluate
-from .carriers import FiniteHomMagma, _default_names, magma_to_dict, new_magma
+from .carriers import FiniteHomMagma, _default_names, _refuse_unknown_keys, magma_to_dict, new_magma
 from .errors import HomLabError, InvariantViolation, UnitRequired
 from .terms import (
     Identity,
@@ -72,8 +72,8 @@ class SearchSpec:
 
     require / violate entries may be assoc type names ("I2"), TypeTags, or
     equation-form Identity values (including parsed custom identities).
-    prune_isomorphs acts only in :func:`enumerate_models`: the first model
-    :func:`find_model` reaches is already its own canonical form.
+    The fields are the keys of a spec file, which adds ``custom``: more
+    required identities.
     """
 
     max_n: int
@@ -81,7 +81,6 @@ class SearchSpec:
     violate: tuple = ()
     with_zero: bool = True
     unital: bool = True
-    prune_isomorphs: bool = True
 
     def __post_init__(self):
         if self.max_n < 1:
@@ -136,11 +135,17 @@ def resolve_requirement(entry: Requirement) -> Identity:
     return parse_identity(entry)
 
 
+# The keys of a spec file: the fields of SearchSpec, and custom.
+SPEC_KEYS = ("max_n", "require", "violate", "custom", "with_zero", "unital")
+
+
 def spec_from_dict(data: dict) -> SearchSpec:
-    """The spec of a spec file's JSON object.  A value of the wrong JSON
-    type raises HomLabError rather than being coerced."""
+    """The spec of a spec file's JSON object.  A key outside SPEC_KEYS, or a
+    value of the wrong JSON type, raises HomLabError rather than being
+    ignored or coerced."""
     if not isinstance(data, dict):
         raise HomLabError("a spec must be a JSON object")
+    _refuse_unknown_keys(data, SPEC_KEYS, HomLabError, "spec")
     max_n = data.get("max_n", 3)
     if not isinstance(max_n, int) or isinstance(max_n, bool):
         raise HomLabError(f"max_n must be an integer, not {max_n!r}")
@@ -151,7 +156,7 @@ def spec_from_dict(data: dict) -> SearchSpec:
             raise HomLabError(f"{key} must be a list of strings, not {value!r}")
         lists[key] = value
     flags = {}
-    for key in ("with_zero", "unital", "prune_isomorphs"):
+    for key in ("with_zero", "unital"):
         flags[key] = data.get(key, True)
         if not isinstance(flags[key], bool):
             raise HomLabError(f"{key} must be true or false, not {flags[key]!r}")
@@ -170,7 +175,6 @@ def spec_to_dict(spec: SearchSpec) -> dict:
         "violate": [requirement_label(r) for r in spec.violate],
         "with_zero": spec.with_zero,
         "unital": spec.unital,
-        "prune_isomorphs": spec.prune_isomorphs,
     }
 
 
@@ -512,22 +516,13 @@ def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
 
 
 def enumerate_models(spec: SearchSpec, limit: int) -> list:
-    """Up to `limit` models matching the spec, in lexicographic order,
-    deduplicated by canonical form when prune_isomorphs is set."""
-    out = []
-    seen = set()
-    for nonzero in range(1, spec.max_n + 1):
-        search = _SizeSearch(spec, nonzero)
-        for m in search.run():
-            if spec.prune_isomorphs:
-                key = model_key(canonical_form(m))
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append(m)
-            if len(out) >= limit:
-                return out
-    return out
+    """The first `limit` models matching the spec that are their own
+    canonical form: one per isomorphism class, each the least of its class,
+    in lexicographic order (the lex-leader rule)."""
+    if limit < 0:
+        raise ValueError(f"limit must not be negative, got {limit}")
+    models = (m for n in range(1, spec.max_n + 1) for m in _SizeSearch(spec, n).run())
+    return list(itertools.islice((m for m in models if canonical_form(m) == m), limit))
 
 
 def canonical_form(m: FiniteHomMagma) -> FiniteHomMagma:

@@ -169,6 +169,18 @@ def test_magma_json_round_trip_no_zero():
     assert back.zero is None
 
 
+def test_algebra_from_dict_checks_dim_and_refuses_unknown_keys():
+    data = algebra_to_dict(linearize(FIXTURES[10].magma(), 7))
+    assert algebra_from_dict({k: v for k, v in data.items() if k != "dim"}).dim == data["dim"]
+    for bad in ({"dim": data["dim"] + 1}, {"dim": str(data["dim"])}, {"dim": None}):
+        with pytest.raises(StructureError, match="dim"):
+            algebra_from_dict(data | bad)
+    with pytest.raises(StructureError, match="'units'"):
+        algebra_from_dict(data | {"units": data["unit"]})
+    with pytest.raises(RelationSyntaxError, match="'product'"):
+        magma_from_dict({"elements": ["e1", "e2"], "unit": "e1", "product": {"e2 e2": "e1"}})
+
+
 def test_algebra_json_round_trip():
     a = linearize(FIXTURES[10].magma(), 7)
     data = json.loads(json.dumps(algebra_to_dict(a)))

@@ -176,6 +176,11 @@ def test_jacobiator_reduces_huge_vector_entries(capsys, algebra_file):
     {"p": 7, "c": [[[1.5]]], "alpha": [[1]]},
     {"p": 7, "c": [[[1]]], "alpha": [[1.5]]},
     {"p": 7, "c": [[[1]]], "alpha": [[1]], "unit": [1.5]},
+    # keys that nothing reads, once ignored: the first built the all-zero
+    # table, and the other two profiled as 1-dimensional algebras
+    {"elements": ["e1", "e2"], "unit": "e1", "product": {"e2 e2": "e1"}},
+    {"p": 7, "c": [[[0]]], "alpha": [[1]], "kind": "skew", "unti": [1]},
+    {"p": 7, "dim": 4, "c": [[[0]]], "alpha": [[1]], "kind": "skew"},
 ])
 def test_unusable_structure_files_exit_two(capsys, tmp_path, data):
     path = tmp_path / "structure.json"
@@ -195,9 +200,11 @@ def test_unusable_structure_files_exit_two(capsys, tmp_path, data):
     {"max_n": 2, "violate": ["I3"], "custom": "x*y = y*x"},
     {"max_n": 2, "violate": ["I3"], "unital": 1},
     {"max_n": 2, "violate": ["I3"], "prune_isomorphs": None},
+    {"max_n": 2, "require": ["I2"], "violates": ["I3"]},
 ], ids=(
     "flag-string", "max-n-float", "require-string", "top-level-list", "require-int",
     "max-n-bool", "max-n-string", "violate-string", "custom-string", "flag-int", "flag-null",
+    "key-typo",
 ))
 def test_malformed_spec_files_exit_two(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"

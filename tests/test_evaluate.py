@@ -20,7 +20,6 @@ from homlab import (
     central_series,
     counterexample_fixtures,
     cyclic_group_magma,
-    enumerate_models,
     find_model,
     first_violation,
     first_violation_multilinear,
@@ -48,6 +47,7 @@ from homlab import (
 from homlab.evaluate import magma_kernel, magma_program, run_program
 from homlab.liecheck import random_skew_constants, random_twist
 from homlab.modp import rref
+from homlab.search import _SizeSearch
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -508,8 +508,8 @@ def test_search_agrees_with_term_walker_on_custom_identities():
     rng = np.random.default_rng(77)
     universe = list(small_unital_magmas(2))
     for identity in random_identities(rng, 25):
-        spec = SearchSpec(max_n=2, require=(identity,), prune_isomorphs=False)
-        mine = {model_key(m) for m in enumerate_models(spec, limit=10_000)}
+        spec = SearchSpec(max_n=2, require=(identity,))
+        mine = {model_key(m) for n in (1, 2) for m in _SizeSearch(spec, n).run()}
         theirs = {model_key(m) for m in universe if walk_first_violation(m, identity) is None}
         assert mine == theirs, identity
 

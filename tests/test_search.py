@@ -5,7 +5,7 @@ import multiprocessing.pool
 import os
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from homlab import (
     verify_implication,
 )
 from homlab.evaluate import magma_program, magma_sides
-from homlab.search import _KERNEL_CELLS, _SizeSearch, _tasks, resolve_requirement
+from homlab.search import SPEC_KEYS, _KERNEL_CELLS, _SizeSearch, _tasks, resolve_requirement
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -112,6 +112,14 @@ def test_enumerate_trivial_size_one():
         assert m.nonzero_count() == 1
 
 
+def test_enumerate_limit_zero_is_empty_and_negative_is_refused():
+    spec = SearchSpec(max_n=1, require=tuple(TYPE_NAMES))
+    assert enumerate_models(spec, limit=0) == []
+    assert len(enumerate_models(spec, limit=1)) == 1
+    with pytest.raises(ValueError, match="limit must not be negative, got -3"):
+        enumerate_models(spec, limit=-3)
+
+
 def test_enumerate_matches_unpruned_oracle():
     spec = SearchSpec(max_n=2, require=("I1",))
     mine = enumerate_models(spec, limit=10_000)
@@ -119,10 +127,8 @@ def test_enumerate_matches_unpruned_oracle():
     assert {model_key(canonical_form(m)) for m in mine} == {
         model_key(canonical_form(m)) for m in oracle
     }
-    # pruning off keeps every representative, pruned keeps one per class
-    unpruned = enumerate_models(
-        SearchSpec(max_n=2, require=("I1",), prune_isomorphs=False), limit=10_000
-    )
+    # the search keeps every representative, enumerate_models one per class
+    unpruned = [m for n in (1, 2) for m in _SizeSearch(spec, n).run()]
     assert len(unpruned) == len(oracle)
     assert len(mine) == len({model_key(canonical_form(m)) for m in oracle})
 
@@ -273,6 +279,21 @@ def test_spec_dict_round_trip():
     data = spec_to_dict(spec)
     assert data["require"] == ["I2", "x*y = y*x"]
     assert data["violate"] == ["I3"]
+
+
+def test_spec_format_matches_the_spec_fields():
+    # A field, a spec_to_dict key or a spec_from_dict key added to one of
+    # the three and not the others breaks the spec file format.
+    names = {f.name for f in fields(SearchSpec)}
+    spec = SearchSpec(max_n=2, require=("I2",), violate=("I3",), with_zero=False, unital=False)
+    assert set(spec_to_dict(spec)) == names
+    assert set(SPEC_KEYS) == names | {"custom"}
+    # every key is read, not only accepted
+    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert spec_from_dict({"custom": ["x*y = y*x"]}).require == ("x*y = y*x",)
+    for key in ("prune_isomorphs", "violates", "maxn"):
+        with pytest.raises(HomLabError, match=repr(key)):
+            spec_from_dict({**spec_to_dict(spec), key: True})
 
 
 def test_custom_identity_constraints():
@@ -448,6 +469,34 @@ def test_window_walk_matches_the_one_value_dfs(spec):
     for depth in range(slots + 1):
         assert _split_walk(spec, depth, first_only=False) == whole
         assert _split_walk(spec, depth, first_only=True) == first
+
+
+def _seen_set_dedupe(spec, limit):
+    """Each isomorphism class's first model in search order, as
+    enumerate_models once kept them with a set of canonical keys."""
+    out, seen = [], set()
+    for nonzero in range(1, spec.max_n + 1):
+        for m in _SizeSearch(spec, nonzero).run():
+            key = model_key(canonical_form(m))
+            if key not in seen:
+                seen.add(key)
+                out.append(m)
+                if len(out) >= limit:
+                    return out
+    return out
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=(
+    "zero-unit", "unit", "bare", "zero", "II2-II3", "exhausted", "assoc-noncomm",
+))
+def test_enumerate_keeps_each_class_least_model(spec):
+    models = enumerate_models(spec, limit=10_000)
+    assert models == _seen_set_dedupe(spec, 10_000)
+    assert all(canonical_form(m) == m for m in models)
+    keys = [model_key(m) for m in models]
+    assert keys == sorted(keys)
+    for limit in (1, 5):
+        assert enumerate_models(spec, limit) == models[:limit]
 
 
 @pytest.mark.parametrize("with_zero, models, nodes", [
