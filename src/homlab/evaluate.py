@@ -15,8 +15,10 @@ on either carrier:
   to vanishing everywhere.  All arithmetic is exact mod p.
 
 For the search, :func:`magma_kernel` turns a program once into a generated
-Python function with one numpy line per step, run over a stack of magma
-tables with a leading batch axis.  ``holds`` and ``first_violation`` stay on
+Python function with one numpy line per step, run over selected rows of a
+stack of magma tables.  It reads the rows where they lie, through one flat
+offset per cell of the flattened stack, so no row is copied and no index
+array is built per axis.  ``holds`` and ``first_violation`` stay on
 :func:`run_program`, so a verdict of the search is re-checked along another
 path.
 """
@@ -162,11 +164,16 @@ _KERNEL_LEAVES = {"x": "x", "y": "y", "z": "z", "1": "u"}
 
 @functools.cache
 def magma_kernel(program: Program):
-    """The program as one generated function ``kernel(T, A, B, x, y, z, u)``
-    over a stack of magmas: T is (D, s, s), A is (D, s), B is the batch
-    index column ``arange(D)[:, None]``, x, y and z are (k,) index arrays
-    and u is the unit.  It returns both sides as (D, k) arrays: row b holds
-    the values under table T[b] and twist A[b].
+    """The program as one generated function ``kernel(T, A, B, S, x, y, z, u)``
+    over selected rows of a stack of magmas, read where they lie.  T and A
+    are the flat views ``table.reshape(-1)`` and ``alpha.reshape(-1)`` of
+    stacks (N, S, S) and (N, S), S is their edge, B is the ``intp`` column
+    ``rows[:, None] * S`` of the selected rows' bases, x, y and z are (k,)
+    index arrays and u is the unit.  A product of a and b reads
+    ``T[(B + a) * S + b]`` and a twist of a reads ``A[B + a]``; B makes all
+    index arithmetic ``intp`` whatever the stacks' dtype.  It returns both
+    sides as (R, k) arrays: row i holds the values under table and twist
+    ``rows[i]``.
 
     The source is built from step indices and fixed tokens only, so no
     text of the identity reaches it.  Built once per program.
@@ -175,10 +182,10 @@ def magma_kernel(program: Program):
     for i, step in enumerate(program.steps):
         op = step[0]
         if op == "*":
-            lines.append(f"    s{i} = T[B, {names[step[1]]}, {names[step[2]]}]")
+            lines.append(f"    s{i} = T[(B + {names[step[1]]}) * S + {names[step[2]]}]")
             varying.append(varying[step[1]] or varying[step[2]])
         elif op == "a":
-            lines.append(f"    s{i} = A[B, {names[step[1]]}]")
+            lines.append(f"    s{i} = A[B + {names[step[1]]}]")
             varying.append(varying[step[1]])
         else:
             names.append(_KERNEL_LEAVES[op])
@@ -195,7 +202,7 @@ def magma_kernel(program: Program):
         return f"broadcast_to({names[i]}, (len(B), len(x)))"
 
     lines.append(f"    return {side(program.lhs)}, {side(program.rhs)}")
-    source = "def kernel(T, A, B, x, y, z, u):\n" + "\n".join(lines) + "\n"
+    source = "def kernel(T, A, B, S, x, y, z, u):\n" + "\n".join(lines) + "\n"
     namespace = {"broadcast_to": np.broadcast_to}
     exec(compile(source, "<magma kernel>", "exec"), namespace)
     return namespace["kernel"]

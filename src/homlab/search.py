@@ -209,9 +209,12 @@ class _SizeSearch:
     row r.  Each required identity's kernel then runs once over the union
     of the rows' pending triples, on the rows the identities before it
     kept (in chunks of rows when the level holds more than
-    ``_KERNEL_CELLS`` row-triple cells).  ``code[lhs, rhs]`` reads 0 for a
+    ``_KERNEL_CELLS`` row-triple cells).  A kernel takes the indices of
+    those rows and reads them in place, through flat offsets into the
+    whole stacks; no row is copied.  ``code[lhs, rhs]`` reads 0 for a
     decided equal pair, 1 for an undecided one and 2 for a decided unequal
-    one.
+    one; it is looked up at the flat pair index ``lhs * (s+1) + rhs``,
+    computed in ``intp``.
     """
 
     def __init__(self, spec: SearchSpec, nonzero: int):
@@ -252,11 +255,19 @@ class _SizeSearch:
             raise UnitRequired("identity uses the unit constant in a unit-free search")
         return evaluate.magma_kernel(program)
 
-    def _codes(self, kernel, table, alpha, triples):
-        """(R, k) codes of the triples under every row of the stacks."""
-        batch = np.arange(len(table))[:, None]
-        lhs, rhs = kernel(table, alpha, batch, *triples, self.unit)
-        return self.code[lhs, rhs]
+    def _codes(self, kernel, table, alpha, rows, triples):
+        """(R, k) codes of the triples under the given rows of the stacks,
+        read in place through flat offsets."""
+        edge = table.shape[-1]
+        lhs, rhs = kernel(
+            table.reshape(-1), alpha.reshape(-1), rows[:, None] * edge, edge,
+            *triples, self.unit,
+        )
+        # The sides hold the stacks' narrow dtype: widen before the pair
+        # index, which outgrows it (16 * 17 + 16 wraps in uint8).
+        pair = np.multiply(lhs, edge, dtype=np.intp)
+        pair += rhs
+        return self.code.reshape(-1)[pair]
 
     def _filter(self, table, alpha, pendings):
         """Indices of the rows of a non-empty stack that no required
@@ -273,7 +284,7 @@ class _SizeSearch:
             rows = np.arange(len(table))[part]
             codes = []
             for kernel, pend in zip(self.require, pendings):
-                code = self._codes(kernel, table[rows], alpha[rows], pend)
+                code = self._codes(kernel, table, alpha, rows, pend)
                 alive = code.max(axis=1, initial=0) < 2
                 rows = rows[alive]
                 codes = [c[alive] for c in codes] + [code[alive]]
@@ -286,8 +297,9 @@ class _SizeSearch:
         """Rows of complete tables in which every forbidden identity fails."""
         rows = np.ones(len(table), dtype=bool)
         for part in _parts(len(table), self._all_triples.shape[1]):
+            selected = np.arange(len(table))[part]
             for kernel in self.violate:
-                codes = self._codes(kernel, table[part], alpha[part], self._all_triples)
+                codes = self._codes(kernel, table, alpha, selected, self._all_triples)
                 rows[part] &= (codes == 2).any(axis=1)
         return rows
 
@@ -304,9 +316,9 @@ class _SizeSearch:
     def _assign(self, table, alpha, pos, values):
         kind, i, j = self.slots[pos]
         if kind == "t":
-            table[:, i, j] = values
+            table[..., i, j] = values
         else:
-            alpha[:, i] = values
+            alpha[..., i] = values
 
     def prefixes(self, depth: int):
         """Yield, in lexicographic order, the assignments of the first
@@ -382,7 +394,11 @@ class _SizeSearch:
                 break
             table = np.repeat(table, width, axis=0)
             alpha = np.repeat(alpha, width, axis=0)
-            self._assign(table, alpha, slot, np.tile(self.values, rows))
+            # Through (rows, D, ...) views, child b of each row takes value b.
+            self._assign(
+                table.reshape(rows, width, *table.shape[1:]),
+                alpha.reshape(rows, width, -1), slot, self.values,
+            )
             reached = np.repeat(reached, width) + np.arange(1, rows * width + 1)
             total += rows * width
             rows, pendings = self._filter(table, alpha, pendings)
@@ -460,10 +476,12 @@ def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
     search that tries one value at a time, up to the tasks in flight when
     the stream stops.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     # Verdicts do not depend on the worker count, so more processes than
     # CPUs would only cost forks.
-    workers = max(min(workers, os.cpu_count() or 1), 1)
+    workers = min(workers, os.cpu_count() or 1)
     cubes = []
     stream = _tasks(spec, cubes)
     window = collections.deque()

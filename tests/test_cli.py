@@ -109,6 +109,15 @@ def test_search_json_identical_across_workers(capsys, spec_file):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_fewer_than_one_worker_exits_two(capsys, spec_file, workers):
+    for argv in (["search", spec_file], ["reproduce", "--max-n", "1"]):
+        assert main(argv + ["--workers", workers, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"workers must be at least 1, got {workers}" in captured.err
+
+
 def test_reproduce_passes(capsys):
     code, out = run(capsys, ["reproduce", "--max-n", "2", "--json"])
     assert code == 0

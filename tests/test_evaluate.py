@@ -515,10 +515,12 @@ def test_search_agrees_with_term_walker_on_custom_identities():
 
 
 # The search's batched kernels against the same semantics.  Rows of the
-# batch are separate magmas of one size; every row must give the walker's
-# sides and run_program's.  The last four identities have a side without a
-# batch axis (a bare variable, or no product or twist) or without a triple
-# axis (no variable), which the kernel must spread to (D, k).
+# stack are separate magmas of one size; the kernel reads the selected rows
+# in place through flat offsets, in the order given, and every row must
+# give the walker's sides and run_program's on its own intp table, whatever
+# the stack's dtype.  The last four identities have a side without a batch
+# axis (a bare variable, or no product or twist) or without a triple axis
+# (no variable), which the kernel must spread to (R, k).
 
 KERNEL_EXTRA = ("1 = a(1)", "x = x*1", "x*y = x*y", "1 = 1")
 
@@ -528,26 +530,33 @@ def test_magma_kernel_agrees_with_walker_and_run_program_on_stacked_magmas():
     identities = random_identities(rng, 60) + [parse_identity(t) for t in KERNEL_EXTRA]
     for n, with_zero in ((1, True), (2, False), (2, True), (3, True)):
         magmas = [random_magma(rng, n, with_zero) for _ in range(3)]
-        table = np.array([m.table for m in magmas])
-        alpha = np.array([m.alpha for m in magmas])
-        batch = np.arange(len(magmas))[:, None]
-        triples = np.indices((magmas[0].size,) * 3).reshape(3, -1)
+        size = magmas[0].size
+        table = np.array([m.table for m in magmas], dtype=np.intp)
+        alpha = np.array([m.alpha for m in magmas], dtype=np.intp)
+        triples = np.indices((size,) * 3).reshape(3, -1)
+        stacks = [(table, alpha), (table.astype(np.uint8), alpha.astype(np.uint8))]
+        selections = [np.arange(len(magmas)), np.array([2, 0])]
         for identity in identities:
             program = magma_program(identity)
-            lhs, rhs = magma_kernel(program)(table, alpha, batch, *triples, 0)
-            assert lhs.shape == rhs.shape == (len(magmas), triples.shape[1]), identity
-            for b, m in enumerate(magmas):
-                env = dict(zip("xyz", triples))
-                unit = np.zeros(triples.shape[1], dtype=np.intp)
-                expected = run_program(
-                    program, env, unit, alpha[b].__getitem__, lambda l, r: table[b][l, r]
+            kernel = magma_kernel(program)
+            for (tab, alp), rows in itertools.product(stacks, selections):
+                lhs, rhs = kernel(
+                    tab.reshape(-1), alp.reshape(-1), rows[:, None] * size, size, *triples, 0
                 )
-                assert np.array_equal(lhs[b], expected[0]), identity
-                assert np.array_equal(rhs[b], expected[1]), identity
-                for t, xyz in enumerate(triples.T.tolist()):
-                    env = dict(zip("xyz", xyz))
-                    assert lhs[b, t] == walk(identity.lhs, m, env), identity
-                    assert rhs[b, t] == walk(identity.rhs, m, env), identity
+                assert lhs.shape == rhs.shape == (len(rows), triples.shape[1]), identity
+                for i, b in enumerate(rows):
+                    m = magmas[b]
+                    env = dict(zip("xyz", triples))
+                    unit = np.zeros(triples.shape[1], dtype=np.intp)
+                    expected = run_program(
+                        program, env, unit, alpha[b].__getitem__, lambda l, r: table[b][l, r]
+                    )
+                    assert np.array_equal(lhs[i], expected[0]), identity
+                    assert np.array_equal(rhs[i], expected[1]), identity
+                    for t, xyz in enumerate(triples.T.tolist()):
+                        env = dict(zip("xyz", xyz))
+                        assert lhs[i, t] == walk(identity.lhs, m, env), identity
+                        assert rhs[i, t] == walk(identity.rhs, m, env), identity
 
 
 def test_magma_kernel_is_built_from_fixed_names_only():
@@ -557,5 +566,5 @@ def test_magma_kernel_is_built_from_fixed_names_only():
     for identity in random_identities(rng, 20) + [parse_identity(t) for t in KERNEL_EXTRA]:
         code = magma_kernel(magma_program(identity)).__code__
         assert set(code.co_names) <= {"broadcast_to", "len"}
-        assert all(re.fullmatch(r"[TABxyzu]|s\d+", v) for v in code.co_varnames)
+        assert all(re.fullmatch(r"[TABSxyzu]|s\d+", v) for v in code.co_varnames)
         assert all(c is None or isinstance(c, int) for c in code.co_consts)

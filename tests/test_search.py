@@ -601,3 +601,72 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     exhausted = SearchSpec(max_n=3, require=("I1",), violate=("I3",))
     assert not find_model(exhausted, workers=100_000).found
     assert asked == [3]
+
+
+def test_find_model_refuses_fewer_than_one_worker():
+    spec = SearchSpec(max_n=2, require=("I2",), violate=("I3",))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            find_model(spec, workers=workers)
+
+
+# The kernels read the selected rows of a stack in place through flat
+# offsets, and the code lookup indexes pairs of sides.  With 16 nonzero
+# elements and a zero the padded edge is 18, so a pair index (up to
+# 17 * 18 + 17) outgrows the stacks' uint8: each row's codes must still be
+# those of magma_sides on that row's own intp table.
+
+def _wide_stacks(search, rng, rows):
+    """uint8 stacks of partial tables: each free cell and twist of row r is
+    assigned with probability r / rows, the rest left undefined."""
+    undef = search.size
+    table = np.repeat(search.table, rows, axis=0)
+    alpha = np.repeat(search.alpha, rows, axis=0)
+    for r in range(rows):
+        for kind, i, j in search.slots:
+            if rng.random() < r / rows:
+                value = rng.integers(0, undef)
+                if kind == "t":
+                    table[r, i, j] = value
+                else:
+                    alpha[r, i] = value
+    return table, alpha
+
+
+def _reference_codes(program, table, alpha, unit, triples):
+    undef = table.shape[-1] - 1
+    lhs, rhs = magma_sides(program, table.astype(np.intp), alpha.astype(np.intp), unit, triples)
+    return np.where((lhs == undef) | (rhs == undef), 1, np.where(lhs == rhs, 0, 2))
+
+
+def test_codes_read_wide_uint8_stacks_in_place(monkeypatch):
+    spec = SearchSpec(max_n=16, require=("I1", "II3"), violate=("I3",))
+    search = _SizeSearch(spec, 16)
+    rng = np.random.default_rng(11)
+    table, alpha = _wide_stacks(search, rng, 8)
+    assert table.dtype == np.uint8 and table.shape[-1] == 18
+    triples = search._all_triples[:, rng.choice(search._all_triples.shape[1], 600, replace=False)]
+    programs = [magma_program(resolve_requirement(r)) for r in spec.require + spec.violate]
+    reference = {
+        (p, r): _reference_codes(p, table[r], alpha[r], search.unit, triples)
+        for p in programs for r in range(len(table))
+    }
+    assert any(2 in c for c in reference.values()) and any(1 in c for c in reference.values())
+    for rows in (np.arange(len(table)), np.array([6, 1, 7, 3])):
+        for program, kernel in zip(programs, search.require + search.violate):
+            codes = search._codes(kernel, table, alpha, rows, triples)
+            assert codes.shape == (len(rows), triples.shape[1])
+            for i, r in enumerate(rows):
+                assert np.array_equal(codes[i], reference[program, r]), (program, r)
+
+    # _filter, cut into chunks of two rows so that every later chunk reads
+    # rows away from the start of the stacks.
+    monkeypatch.setattr("homlab.search._KERNEL_CELLS", 2 * triples.shape[1])
+    kept, pendings = search._filter(table, alpha, [triples] * 2)
+    required = programs[:2]
+    alive = [r for r in range(len(table)) if all(2 not in reference[p, r] for p in required)]
+    assert 0 < len(alive) < len(table)
+    assert kept.tolist() == alive
+    for program, pend in zip(required, pendings):
+        undecided = np.any([reference[program, r] == 1 for r in alive], axis=0)
+        assert np.array_equal(pend, triples[:, undecided])
