@@ -23,11 +23,14 @@ identities before it kept (a level too large for one run is cut into chunks
 of rows).  A fixed code table over the padded indices marks each triple of
 each child decided and equal, undecided, or decided and unequal; a child
 with an unequal triple is dropped, and so are the triples no kept child
-leaves undecided.  When a window completes the table, one kernel run per
-forbidden identity over the full grid checks all its leaves; a complete
-table is accepted when every forbidden identity fails on some triple.
-Nodes and leaves are counted as a search that tries one value at a time
-would count them.
+leaves undecided.  The runs are scheduled: a triple whose identity twists
+one of its variables (or the unit) waits, unevaluated, until the slot that
+assigns that twist, since until then the twist is undefined and the triple
+undecided on every row; a level where no triple is ready runs no kernel.
+When a window completes the table, one kernel run per forbidden identity
+over the full grid checks all its leaves; a complete table is accepted
+when every forbidden identity fails on some triple.  Nodes and leaves are
+counted as a search that tries one value at a time would count them.
 
 The search is split in the cube-and-conquer style: each carrier size is cut
 at a fixed depth, so that each subtree below a surviving prefix is one
@@ -42,6 +45,7 @@ worker count.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import multiprocessing
 import os
@@ -83,6 +87,8 @@ class SearchSpec:
     unital: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.max_n, int) or isinstance(self.max_n, bool):
+            raise HomLabError(f"max_n must be an integer, not {self.max_n!r}")
         if self.max_n < 1:
             raise HomLabError("max_n must be at least 1")
         object.__setattr__(self, "require", tuple(self.require))
@@ -95,9 +101,14 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Nodes and leaves (models) as a search trying one value at a time
+    counts them, and the row-triple cells the required identities' kernels
+    evaluated, each summed over every task and worker; wall seconds."""
+
     nodes: int = 0
     models: int = 0
     seconds: float = 0.0
+    cells: int = 0
 
 
 @dataclass(frozen=True)
@@ -146,9 +157,6 @@ def spec_from_dict(data: dict) -> SearchSpec:
     if not isinstance(data, dict):
         raise HomLabError("a spec must be a JSON object")
     _refuse_unknown_keys(data, SPEC_KEYS, HomLabError, "spec")
-    max_n = data.get("max_n", 3)
-    if not isinstance(max_n, int) or isinstance(max_n, bool):
-        raise HomLabError(f"max_n must be an integer, not {max_n!r}")
     lists = {}
     for key in ("require", "violate", "custom"):
         value = data.get(key, [])
@@ -161,7 +169,7 @@ def spec_from_dict(data: dict) -> SearchSpec:
         if not isinstance(flags[key], bool):
             raise HomLabError(f"{key} must be true or false, not {flags[key]!r}")
     return SearchSpec(
-        max_n=max_n,
+        max_n=data.get("max_n", 3),
         require=tuple(lists["require"] + lists["custom"]),
         violate=tuple(lists["violate"]),
         **flags,
@@ -215,6 +223,12 @@ class _SizeSearch:
     decided equal pair, 1 for an undecided one and 2 for a decided unequal
     one; it is looked up at the flat pair index ``lhs * (s+1) + rhs``,
     computed in ``intp``.
+
+    Each identity's pending triples are a (4, k) array: x, y, z and the
+    triple's ready slot, sorted by it (see ``_scheduled_triples``).  A
+    level runs an identity's kernel only on the prefix of triples that are
+    ready at its slot; the others read code 1 on every row and wait.
+    ``cells`` counts the row-triple cells the required kernels evaluated.
     """
 
     def __init__(self, spec: SearchSpec, nonzero: int):
@@ -227,10 +241,17 @@ class _SizeSearch:
         self.slots = [("t", i, j) for i in range(lo, nonzero) for j in range(lo, nonzero)]
         self.slots += [("a", i, i) for i in range(nonzero)]
         self.domain = ([self.zero] if self.zero is not None else []) + list(range(nonzero))
-        self.require = [self._kernel(r) for r in spec.require]
-        self.violate = [self._kernel(v) for v in spec.violate]
+        required = [self._program(r) for r in spec.require]
+        self.require = [evaluate.magma_kernel(p) for p in required]
+        self.violate = [evaluate.magma_kernel(self._program(v)) for v in spec.violate]
+        # The position of the slot that assigns each element's twist; the
+        # zero's twist is fixed.
+        twist_slot = tuple(range(len(self.slots) - nonzero, len(self.slots)))
+        twist_slot += (-1,) * (self.size - nonzero)
+        self.scheduled = [_scheduled_triples(p, twist_slot, self.unit) for p in required]
         self.nodes = 0
         self.models = 0
+        self.cells = 0
 
         undef = self.size
         dtype = np.min_scalar_type(undef)
@@ -249,11 +270,11 @@ class _SizeSearch:
         self.code[undef, :] = self.code[:, undef] = 1
         self._all_triples = np.indices((undef,) * 3).reshape(3, -1)
 
-    def _kernel(self, entry: Requirement):
+    def _program(self, entry: Requirement):
         program = evaluate.magma_program(resolve_requirement(entry))
         if self.unit is None and program.uses_unit:
             raise UnitRequired("identity uses the unit constant in a unit-free search")
-        return evaluate.magma_kernel(program)
+        return program
 
     def _codes(self, kernel, table, alpha, rows, triples):
         """(R, k) codes of the triples under the given rows of the stacks,
@@ -269,29 +290,40 @@ class _SizeSearch:
         pair += rhs
         return self.code.reshape(-1)[pair]
 
-    def _filter(self, table, alpha, pendings):
-        """Indices of the rows of a non-empty stack that no required
-        identity rejects, in order, and each identity's pending triples
-        that some kept row leaves undecided.
+    def _filter(self, table, alpha, pendings, pos):
+        """The rows of a non-empty stack that no required identity rejects,
+        in order, as indices or as ``slice(None)`` for all of them, and each
+        identity's pending triples that are not ready at slot ``pos`` or
+        that some kept row leaves undecided, in their order.
 
-        The pendings are the union over the rows: a triple outside a row's
-        own pending set was decided equal in one of its ancestors and reads
-        0 again, so every row gets the verdict of its own set.  Each
-        identity runs only on the rows the ones before it kept."""
+        Only the triples ready at ``pos`` run: the rest read code 1 on every
+        row.  When no triple is ready, no kernel runs and the pendings come
+        back as they are.  The pendings are the union over the rows: a
+        triple outside a row's own pending set was decided equal in one of
+        its ancestors and reads 0 again, so every row gets the verdict of
+        its own set.  Each identity runs only on the rows the ones before
+        it kept."""
+        ready = [int(np.searchsorted(p[3], pos, side="right")) for p in pendings]
+        runs = [i for i, k in enumerate(ready) if k]
+        if not runs:
+            return slice(None), pendings
         kept = []
-        undecided = [np.zeros(p.shape[1], dtype=bool) for p in pendings]
-        for part in _parts(len(table), max((p.shape[1] for p in pendings), default=0)):
+        keep = [np.arange(p.shape[1]) >= k for p, k in zip(pendings, ready)]
+        for part in _parts(len(table), max(ready)):
             rows = np.arange(len(table))[part]
             codes = []
-            for kernel, pend in zip(self.require, pendings):
-                code = self._codes(kernel, table, alpha, rows, pend)
+            for i in runs:
+                self.cells += len(rows) * ready[i]
+                code = self._codes(self.require[i], table, alpha, rows, pendings[i][:3, :ready[i]])
                 alive = code.max(axis=1, initial=0) < 2
                 rows = rows[alive]
                 codes = [c[alive] for c in codes] + [code[alive]]
             kept.append(rows)
-            for mask, code in zip(undecided, codes):
-                mask |= (code == 1).any(axis=0)
-        return np.concatenate(kept), [p.compress(m, axis=1) for p, m in zip(pendings, undecided)]
+            for i, code in zip(runs, codes):
+                keep[i][:ready[i]] |= (code == 1).any(axis=0)
+        return np.concatenate(kept), [
+            p.compress(m, axis=1) if k else p for p, m, k in zip(pendings, keep, ready)
+        ]
 
     def _violating_rows(self, table, alpha):
         """Rows of complete tables in which every forbidden identity fails."""
@@ -305,13 +337,13 @@ class _SizeSearch:
 
     def _root(self, prefix):
         """One-row stacks holding the prefix, and each required identity's
-        (3, k) undecided triples under them, or None if a decided triple
-        fails."""
+        (4, k) pending triples under them, filtered at the prefix's last
+        slot, or None if a decided triple fails."""
         table, alpha = self.table.copy(), self.alpha.copy()
         for pos, value in enumerate(prefix):
             self._assign(table, alpha, pos, value)
-        rows, pendings = self._filter(table, alpha, [self._all_triples] * len(self.require))
-        return table, alpha, (pendings if len(rows) else None)
+        rows, pendings = self._filter(table, alpha, self.scheduled, len(prefix) - 1)
+        return table, alpha, (pendings if len(table[rows]) else None)
 
     def _assign(self, table, alpha, pos, values):
         kind, i, j = self.slots[pos]
@@ -401,7 +433,7 @@ class _SizeSearch:
             )
             reached = np.repeat(reached, width) + np.arange(1, rows * width + 1)
             total += rows * width
-            rows, pendings = self._filter(table, alpha, pendings)
+            rows, pendings = self._filter(table, alpha, pendings, slot)
             table, alpha, reached = table[rows], alpha[rows], reached[rows]
         return table, alpha, pendings, reached, total
 
@@ -411,6 +443,31 @@ class _SizeSearch:
             s, table[row, :s, :s].tolist(), alpha[row, :s].tolist(),
             unit=self.unit, zero=self.zero,
         )
+
+
+@functools.cache
+def _scheduled_triples(program, twist_slot: tuple, unit) -> np.ndarray:
+    """Every triple over ``len(twist_slot)`` elements as a read-only (4, k)
+    array: x, y and z above each triple's ready slot, sorted by it, x-major
+    among equals.  twist_slot[v] is the position of the slot that assigns
+    the twist of element v, or -1 if that twist is fixed.
+
+    The ready slot is the greatest position that assigns a twist one of
+    the program's twist steps reads directly from a variable or the unit,
+    or -1 if there is none: a twist of a product (III) adds no bound.
+    Before it, that twist reads the undefined index, which absorbs every
+    later product and twist, so the triple reads code 1 on every row.
+    Built once per program and carrier."""
+    slot = np.array(twist_slot, dtype=np.intp)
+    triples = np.indices((len(slot),) * 3).reshape(3, -1)
+    ready = np.full(triples.shape[1], -1, dtype=np.intp)
+    leaves = {"x": triples[0], "y": triples[1], "z": triples[2], "1": unit}
+    for step in program.steps:
+        if step[0] == "a" and program.steps[step[1]][0] in leaves:
+            ready = np.maximum(ready, slot[leaves[program.steps[step[1]][0]]])
+    scheduled = np.vstack([triples, ready])[:, np.argsort(ready, kind="stable")]
+    scheduled.flags.writeable = False
+    return scheduled
 
 
 def _value_key(value: int, zero: Optional[int]) -> int:
@@ -458,7 +515,7 @@ def _tasks(spec: SearchSpec, cubes: list):
 def _run_task(task):
     spec, nonzero, prefix = task
     search = _SizeSearch(spec, nonzero)
-    return nonzero, next(search.run(prefix), None), search.nodes, search.models
+    return nonzero, next(search.run(prefix), None), search.nodes, search.models, search.cells
 
 
 def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
@@ -526,7 +583,8 @@ def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
         pool.join()
     nodes = sum(c.nodes for c in cubes) + sum(r[2] for r in results)
     models = sum(r[3] for r in results)
-    stats = SearchStats(nodes, models, time.perf_counter() - start)
+    cells = sum(c.cells for c in cubes) + sum(r[4] for r in results)
+    stats = SearchStats(nodes, models, time.perf_counter() - start, cells)
     winner = next((r for r in results if r[1] is not None), None)
     if winner is None:
         return Verdict(None, spec.max_n, stats)

@@ -8,10 +8,12 @@ from homlab import (
     algebra_to_dict,
     counterexample_fixtures,
     cyclic_group_magma,
+    find_model,
     linearize,
     magma_to_dict,
     nonlie_hom_iii_algebra,
     sl2_algebra,
+    spec_from_dict,
 )
 from homlab.cli import main
 
@@ -98,6 +100,17 @@ def test_search_exhaustion_exits_zero(capsys, tmp_path):
     code, out = run(capsys, ["search", str(path), "--json"])
     assert code == 0
     assert json.loads(out)["outcome"] == "exhausted"
+
+
+def test_search_text_summary_shows_the_search_counts(capsys, spec_file):
+    code, out = run(capsys, ["search", spec_file])
+    assert code == 1
+    stats = find_model(spec_from_dict({"max_n": 2, "require": ["I2"], "violate": ["I3"]})).stats
+    assert stats.cells > 0
+    assert (f"[{stats.nodes} nodes, {stats.models} models tested, "
+            f"{stats.cells} cells evaluated, ") in out
+    code, out = run(capsys, ["search", spec_file, "--json"])
+    assert "cells" not in out and "nodes" not in out
 
 
 def test_search_json_identical_across_workers(capsys, spec_file):

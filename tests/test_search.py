@@ -32,7 +32,9 @@ from homlab import (
     verify_implication,
 )
 from homlab.evaluate import magma_program, magma_sides
-from homlab.search import SPEC_KEYS, _KERNEL_CELLS, _SizeSearch, _tasks, resolve_requirement
+from homlab.search import (
+    SPEC_KEYS, _KERNEL_CELLS, _SizeSearch, _parts, _tasks, resolve_requirement,
+)
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -264,6 +266,10 @@ def test_canonical_form_memory_is_bounded_by_a_block():
 def test_spec_validation():
     with pytest.raises(HomLabError):
         SearchSpec(max_n=0)
+    # bool is an int subclass, and the others would fail later as TypeError.
+    for max_n in (True, 2.5, "3"):
+        with pytest.raises(HomLabError, match=f"max_n must be an integer, not {max_n!r}"):
+            SearchSpec(max_n=max_n, violate=("I3",))
     with pytest.raises(HomLabError):
         SearchSpec(max_n=2, require=("I1",), violate=("I1",))
     with pytest.raises(CyclicNotSupportedOnMagma):
@@ -451,16 +457,28 @@ def _split_walk(spec, depth, first_only):
     return models, cube.nodes + nodes, leaves
 
 
+# Specs whose required identities the readiness schedule bounds in other
+# ways: a twist of a product adds no bound (III, and III' beside its twists
+# of x and z), a twist of the unit waits for the slot of a(1), and an
+# identity without twists is always ready.
+SCHEDULE_SPECS = (
+    SearchSpec(max_n=3, require=("III", "III'"), violate=("I1",), with_zero=False),
+    SearchSpec(max_n=3, require=("a(1)*x = x*a(1)", "II1"), violate=("II",)),
+    SearchSpec(max_n=3, require=("x*y = y*x", "II1"), violate=("I2",)),
+)
+SCHEDULE_IDS = ("twisted-products", "twisted-unit", "untwisted")
+
 REFERENCE_SPECS = SPLIT_SPECS + (
     SearchSpec(max_n=3, require=("II2", "II3"), violate=("II1",)),
     SearchSpec(max_n=3, require=("I1", "II3"), violate=("II2",)),
     SearchSpec(max_n=3, require=("x*(y*z) = (x*y)*z",), violate=("x*y = y*x",), with_zero=False),
-)
-
-
-@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=(
+) + SCHEDULE_SPECS
+REFERENCE_IDS = (
     "zero-unit", "unit", "bare", "zero", "II2-II3", "exhausted", "assoc-noncomm",
-))
+) + SCHEDULE_IDS
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
 def test_window_walk_matches_the_one_value_dfs(spec):
     whole = _reference_dfs(spec, spec.max_n, first_only=False)
     first = _reference_dfs(spec, spec.max_n, first_only=True)
@@ -486,9 +504,82 @@ def _seen_set_dedupe(spec, limit):
     return out
 
 
-@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=(
-    "zero-unit", "unit", "bare", "zero", "II2-II3", "exhausted", "assoc-noncomm",
-))
+def _watch_levels(monkeypatch, check):
+    """Calls check(search, table, alpha, pendings, pos) before every
+    _filter call, and returns the list of (slot, cells) of every run of a
+    required kernel, where slot is the window level's slot, or None when a
+    root (a whole prefix, from the full triple sets) is filtered."""
+    real_root, real_filter = _SizeSearch._root, _SizeSearch._filter
+    real_codes = _SizeSearch._codes
+    rooting, level, runs = [], [], []
+
+    def watched_root(self, prefix):
+        rooting.append(prefix)
+        try:
+            return real_root(self, prefix)
+        finally:
+            rooting.pop()
+
+    def watched_filter(self, table, alpha, pendings, pos):
+        check(self, table, alpha, pendings, pos)
+        level.append(None if rooting else self.slots[pos])
+        try:
+            return real_filter(self, table, alpha, pendings, pos)
+        finally:
+            level.pop()
+
+    def watched_codes(self, kernel, table, alpha, rows, triples):
+        if level:
+            runs.append((level[-1], len(rows) * triples.shape[1]))
+        return real_codes(self, kernel, table, alpha, rows, triples)
+
+    monkeypatch.setattr(_SizeSearch, "_root", watched_root)
+    monkeypatch.setattr(_SizeSearch, "_filter", watched_filter)
+    monkeypatch.setattr(_SizeSearch, "_codes", watched_codes)
+    return runs
+
+
+def _skipped_triples_read_undecided(search, table, alpha, pendings, pos, skipped):
+    """Runs each required kernel anyway on the triples the schedule skips
+    at slot pos, over every row, and asserts that they read code 1."""
+    for kernel, pend in zip(search.require, pendings):
+        waiting = pend[:3, pend[3] > pos]
+        if waiting.shape[1]:
+            for part in _parts(len(table), waiting.shape[1]):
+                rows = np.arange(len(table))[part]
+                codes = _SizeSearch._codes(search, kernel, table, alpha, rows, waiting)
+                assert (codes == 1).all(), pos
+                skipped.append(codes.size)
+
+
+@pytest.mark.parametrize("spec", SCHEDULE_SPECS, ids=SCHEDULE_IDS)
+def test_skipped_triples_are_undecided_on_every_row(monkeypatch, spec):
+    skipped = []
+    _watch_levels(
+        monkeypatch, lambda *level: _skipped_triples_read_undecided(*level, skipped)
+    )
+    for depth in range(len(_SizeSearch(spec, spec.max_n).slots) + 1):
+        _split_walk(spec, depth, first_only=False)
+    assert sum(skipped) > 0
+
+
+def test_deep4_runs_no_required_kernel_at_a_table_slot(monkeypatch):
+    skipped = []
+    runs = _watch_levels(
+        monkeypatch, lambda *level: _skipped_triples_read_undecided(*level, skipped)
+    )
+    stats = find_model(DEEP4).stats
+    assert sum(skipped) > 0
+    assert {slot[0] for slot, _ in runs if slot is not None} == {"a"}
+    assert stats.cells == sum(cells for _, cells in runs)
+
+
+def test_deep4_cells_are_pinned():
+    # Row-triple cells the required kernels evaluate at 1 worker.
+    assert find_model(DEEP4).stats.cells == 2_578_941
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
 def test_enumerate_keeps_each_class_least_model(spec):
     models = enumerate_models(spec, limit=10_000)
     assert models == _seen_set_dedupe(spec, 10_000)
@@ -526,6 +617,7 @@ def test_deep4_model_is_the_same_for_every_worker_count():
         # Beyond the serial search, only the tasks in flight when the
         # winner arrives are spent.
         assert verdict.stats.nodes < 1.1 * serial.stats.nodes
+        assert serial.stats.cells <= verdict.stats.cells < 1.1 * serial.stats.cells
         assert multiprocessing.active_children() == []
 
 
@@ -645,7 +737,8 @@ def test_codes_read_wide_uint8_stacks_in_place(monkeypatch):
     rng = np.random.default_rng(11)
     table, alpha = _wide_stacks(search, rng, 8)
     assert table.dtype == np.uint8 and table.shape[-1] == 18
-    triples = search._all_triples[:, rng.choice(search._all_triples.shape[1], 600, replace=False)]
+    picked = rng.choice(search._all_triples.shape[1], 600, replace=False)
+    triples = search._all_triples[:, picked]
     programs = [magma_program(resolve_requirement(r)) for r in spec.require + spec.violate]
     reference = {
         (p, r): _reference_codes(p, table[r], alpha[r], search.unit, triples)
@@ -659,14 +752,40 @@ def test_codes_read_wide_uint8_stacks_in_place(monkeypatch):
             for i, r in enumerate(rows):
                 assert np.array_equal(codes[i], reference[program, r]), (program, r)
 
-    # _filter, cut into chunks of two rows so that every later chunk reads
-    # rows away from the start of the stacks.
-    monkeypatch.setattr("homlab.search._KERNEL_CELLS", 2 * triples.shape[1])
-    kept, pendings = search._filter(table, alpha, [triples] * 2)
+    # _filter at slot 0, cut into chunks of two rows so that every later
+    # chunk reads rows away from the start of the stacks.  The sampled
+    # triples are ready there; 40 more wait for slot 1 and must come back
+    # untouched, although the first of them reads 2 on a row that stays
+    # alive.
     required = programs[:2]
     alive = [r for r in range(len(table)) if all(2 not in reference[p, r] for p in required)]
+    rest = np.delete(search._all_triples, picked, axis=1)
+    failing = np.any([
+        _reference_codes(p, table[r], alpha[r], search.unit, rest) == 2
+        for p in required for r in alive
+    ], axis=0)
+    assert failing.any()
+    waiting = rest[:, np.argsort(~failing, kind="stable")[:40]]
+    monkeypatch.setattr("homlab.search._KERNEL_CELLS", 2 * triples.shape[1])
+    scheduled = np.hstack([
+        np.vstack([triples, np.zeros(triples.shape[1], dtype=np.intp)]),
+        np.vstack([waiting, np.ones(waiting.shape[1], dtype=np.intp)]),
+    ])
+    kept, pendings = search._filter(table, alpha, [scheduled] * 2, 0)
     assert 0 < len(alive) < len(table)
     assert kept.tolist() == alive
     for program, pend in zip(required, pendings):
         undecided = np.any([reference[program, r] == 1 for r in alive], axis=0)
-        assert np.array_equal(pend, triples[:, undecided])
+        assert np.array_equal(pend[:3, :undecided.sum()], triples[:, undecided])
+        assert np.array_equal(pend[:, undecided.sum():], scheduled[:, triples.shape[1]:])
+
+    # Nothing ready: every row is kept and the pendings come back as they
+    # are, with no kernel run.
+    def refuse(*args):
+        raise AssertionError("a kernel ran with no triple ready")
+
+    monkeypatch.setattr(search, "_codes", refuse)
+    late = [scheduled[:, triples.shape[1]:]] * 2
+    kept, pendings = search._filter(table, alpha, late, 0)
+    assert np.arange(len(table))[kept].tolist() == list(range(len(table)))
+    assert all(p is q for p, q in zip(pendings, late))
