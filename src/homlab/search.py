@@ -14,13 +14,15 @@ and it equals its own canonical form.
 Identities run as straight-line kernels generated from the compiled
 programs of :mod:`homlab.evaluate`, over tables padded by one row and
 column whose index ``size`` stands for an unassigned cell and absorbs every
-product and twist.  The slots are walked in windows of a few slots: depth
-first over windows, breadth first inside each.  A window holds its alive
-partial tables as one stack in lexicographic order; each level gives every
-row one child per domain value and runs each required identity's kernel
-once over the union of the rows' pending triples, on the children the
-identities before it kept (a level too large for one run is cut into chunks
-of rows).  A fixed code table over the padded indices marks each triple of
+product and twist.  The slots are walked in windows: depth first over
+windows, breadth first inside each.  A window spans as many slots as keep
+its widest level within a fixed number of rows, and the windows of a
+carrier size end at its leaves, so the first takes what is left over.  A
+window holds its alive partial tables as one stack in lexicographic order;
+each level gives every row one child per domain value and runs each
+required identity's kernel once over the union of the rows' pending
+triples, on the children the identities before it kept (a level too large
+for one run is cut into chunks of rows).  A fixed code table over the padded indices marks each triple of
 each child decided and equal, undecided, or decided and unequal; a child
 with an unequal triple is dropped, and so are the triples no kept child
 leaves undecided.  The runs are scheduled: a triple whose identity twists
@@ -32,12 +34,13 @@ over the full grid checks all its leaves; a complete table is accepted
 when every forbidden identity fails on some triple.  Nodes and leaves are
 counted as a search that tries one value at a time would count them.
 
-The search is split in the cube-and-conquer style: each carrier size is cut
-at a fixed depth, so that each subtree below a surviving prefix is one
-window.  The subtrees of all sizes form one lazy stream in lexicographic
-order, run in this process at one worker, or when the stream is short, and
+At one worker each carrier size is one task, walked whole in this process.
+At more, the search is split in the cube-and-conquer style: each carrier
+size is cut at a fixed depth, so that each subtree below a surviving prefix
+is one small window.  The tasks of all sizes form one lazy stream in
+lexicographic order, run in this process when the stream is short, and
 through one process pool (at most one process per CPU) with a bounded
-window of tasks in flight otherwise.  Results are read in stream order and
+number of tasks in flight otherwise.  Results are read in stream order and
 the stream stops at its first model, so the verdict is identical for any
 worker count.
 """
@@ -91,6 +94,13 @@ class SearchSpec:
             raise HomLabError(f"max_n must be an integer, not {self.max_n!r}")
         if self.max_n < 1:
             raise HomLabError("max_n must be at least 1")
+        for key in ("require", "violate"):
+            # tuple() would split a bare string into one-letter entries.
+            if isinstance(value := getattr(self, key), str):
+                raise HomLabError(f"{key} must be a sequence of entries, not the string {value!r}")
+        for key in ("with_zero", "unital"):
+            if not isinstance(value := getattr(self, key), bool):
+                raise HomLabError(f"{key} must be true or false, not {value!r}")
         object.__setattr__(self, "require", tuple(self.require))
         object.__setattr__(self, "violate", tuple(self.violate))
         req = {requirement_label(r) for r in self.require}
@@ -163,16 +173,12 @@ def spec_from_dict(data: dict) -> SearchSpec:
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise HomLabError(f"{key} must be a list of strings, not {value!r}")
         lists[key] = value
-    flags = {}
-    for key in ("with_zero", "unital"):
-        flags[key] = data.get(key, True)
-        if not isinstance(flags[key], bool):
-            raise HomLabError(f"{key} must be true or false, not {flags[key]!r}")
     return SearchSpec(
         max_n=data.get("max_n", 3),
         require=tuple(lists["require"] + lists["custom"]),
         violate=tuple(lists["violate"]),
-        **flags,
+        with_zero=data.get("with_zero", True),
+        unital=data.get("unital", True),
     )
 
 
@@ -193,6 +199,12 @@ def spec_to_dict(spec: SearchSpec) -> dict:
 # canonical_form keys its relabelings in blocks of as many cells.
 _KERNEL_CELLS = 1 << 14
 
+# Most rows a level of a run() window may hold.  A window spans the most
+# slots w with D**w <= _WINDOW_ROWS, where D is the number of values a slot
+# takes, so that a few wide levels replace many narrow ones (each level
+# costs one kernel call per required identity) and no level outgrows this.
+_WINDOW_ROWS = 1 << 17
+
 
 def _parts(rows: int, triples: int):
     """Slices that cut rows into chunks of at most _KERNEL_CELLS cells."""
@@ -209,10 +221,13 @@ class _SizeSearch:
     reads an unassigned cell evaluates to ``size``.  A negative marker
     would not do: numpy reads a negative index as a real element.
 
-    The slots are walked in windows of at most ``_TASK_SLOTS`` slots, depth
-    first over windows and breadth first inside each one.  A window holds
-    its alive rows as stacks (R, s+1, s+1) and (R, s+1) in lexicographic
-    order, in the narrowest unsigned dtype that holds ``size``.  Each level
+    The slots are walked in windows, depth first over windows and breadth
+    first inside each one: run() in windows of ``window_slots()`` slots that
+    end at the leaves, prefixes() in windows of ``_TASK_SLOTS`` from the
+    root.  Only the first window starts from the root; each later one
+    starts from one row.  A window holds its alive rows as stacks
+    (R, s+1, s+1) and (R, s+1) in lexicographic order, in the narrowest
+    unsigned dtype that holds ``size``.  Each level
     repeats every row once per domain value, so row r*D + b is child b of
     row r.  Each required identity's kernel then runs once over the union
     of the rows' pending triples, on the rows the identities before it
@@ -358,7 +373,8 @@ class _SizeSearch:
         table, alpha, pendings = self._root(())
         if pendings is None:
             return
-        for table, alpha, row, _ in self._walk(table, alpha, pendings, 0, depth):
+        ends = list(range(_TASK_SLOTS, depth, _TASK_SLOTS)) + [depth]
+        for table, alpha, row, _ in self._walk(table, alpha, pendings, 0, ends):
             yield tuple(
                 int(table[row, i, j] if kind == "t" else alpha[row, i])
                 for kind, i, j in self.slots[:depth]
@@ -370,43 +386,53 @@ class _SizeSearch:
 
         The prefix is assigned at once and the root pendings filtered once:
         a decided triple never changes, so this keeps the pending set and
-        the rejections of filtering after each of its slots.
+        the rejections of filtering after each of its slots.  The rest is
+        walked in windows of ``window_slots()`` slots that end at the
+        leaves; the first window takes the remainder.
         """
         table, alpha, pendings = self._root(prefix)
         if pendings is None:
             return
-        for table, alpha, row, verdicts in self._walk(
-            table, alpha, pendings, len(prefix), len(self.slots)
-        ):
+        stop = len(self.slots)
+        ends = list(range(stop, len(prefix), -self.window_slots()))[::-1] or [stop]
+        for table, alpha, row, verdicts in self._walk(table, alpha, pendings, len(prefix), ends):
             self.models += 1
             if verdicts[row]:
                 yield self._snapshot(table, alpha, row)
 
-    def _walk(self, table, alpha, pendings, pos, stop):
-        """Yield (table, alpha, row, verdicts) for every assignment of
-        slots pos..stop-1 below the one row of the stacks that no required
+    def window_slots(self) -> int:
+        """Slots of a run() window: the most, w, whose D**w children of one
+        row fit in ``_WINDOW_ROWS`` rows, at least one and at most all."""
+        width, w = len(self.domain), 1
+        while w < len(self.slots) and width ** (w + 1) <= _WINDOW_ROWS:
+            w += 1
+        return w
+
+    def _walk(self, table, alpha, pendings, pos, ends):
+        """Yield (table, alpha, row, verdicts) for every assignment of slots
+        pos..ends[-1]-1 below the one row of the stacks that no required
         identity rejects, in lexicographic order, while row ``row`` of the
         yielded stacks holds it.  When the table is then complete, verdicts
         holds the leaf check of every row; otherwise it is None.
 
-        The first window is slots pos..pos+_TASK_SLOTS-1; each of its alive
-        leaves is walked on from its own row.  Nodes are counted as a DFS
-        that tries one value at a time counts them when it reaches the
-        yielded assignment, so a consumer that stops early reads the same
-        count.
+        The windows end at the positions in ``ends``: the first is slots
+        pos..ends[0]-1, and each alive leaf of a window is walked on from
+        its own row.  Nodes are counted as a DFS that tries one value at a
+        time counts them when it reaches the yielded assignment, so a
+        consumer that stops early reads the same count.
         """
-        end = min(pos + _TASK_SLOTS, stop)
+        end = ends[0]
         table, alpha, pendings, reached, total = self._window(table, alpha, pendings, pos, end)
         verdicts = self._violating_rows(table, alpha) if end == len(self.slots) else None
         counted = 0
         for row in range(len(table)):
             self.nodes += int(reached[row]) - counted
             counted = int(reached[row])
-            if end == stop:
+            if len(ends) == 1:
                 yield table, alpha, row, verdicts
             else:
                 yield from self._walk(
-                    table[row:row + 1], alpha[row:row + 1], pendings, end, stop
+                    table[row:row + 1], alpha[row:row + 1], pendings, end, ends[1:]
                 )
         self.nodes += total - counted
 
@@ -497,19 +523,25 @@ def _reverify(spec: SearchSpec, m: FiniteHomMagma) -> FiniteHomMagma:
     return m
 
 
-# Slots a window decides: the split depth leaves one window below each prefix.
+# Slots of a split task, and of each window of the prefix walk that cuts
+# the tasks: the split depth leaves one window below each prefix.
 _TASK_SLOTS = 5
 
 
-def _tasks(spec: SearchSpec, cubes: list):
-    """(spec, nonzero, prefix) for every surviving split prefix of every
-    carrier size, lazily and in the serial DFS's order.  The prefix search
-    of each size goes to cubes, which keeps its node count."""
+def _tasks(spec: SearchSpec, cubes: list, split: bool):
+    """(spec, nonzero, prefix) for every carrier size, lazily and in the
+    serial DFS's order.  Without split, each size is one task with the empty
+    prefix.  With it, each surviving prefix at depth len(slots) -
+    _TASK_SLOTS is one task, and the prefix search of each size goes to
+    cubes, which keeps its node count."""
     for nonzero in range(1, spec.max_n + 1):
-        cube = _SizeSearch(spec, nonzero)
-        cubes.append(cube)
-        for prefix in cube.prefixes(max(len(cube.slots) - _TASK_SLOTS, 0)):
-            yield spec, nonzero, prefix
+        if split:
+            cube = _SizeSearch(spec, nonzero)
+            cubes.append(cube)
+            for prefix in cube.prefixes(max(len(cube.slots) - _TASK_SLOTS, 0)):
+                yield spec, nonzero, prefix
+        else:
+            yield spec, nonzero, ()
 
 
 def _run_task(task):
@@ -518,21 +550,30 @@ def _run_task(task):
     return nonzero, next(search.run(prefix), None), search.nodes, search.models, search.cells
 
 
+def _require_int(name: str, value):
+    # bool is an int subclass; a float or a str would fail later, or not at all.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
     """Smallest countermodel within the bound, or an exhaustion certificate.
 
-    Every carrier size is cut at a fixed depth into subtrees of one window
-    each, one per surviving prefix, and they form one lazy stream in
-    lexicographic order.  At one worker each runs in this process in turn.
-    At more (at most one per CPU), one process pool keeps up to two per
-    worker in flight; it is started only if the stream holds more than
-    that window, and a shorter stream runs in this process too.  Results
-    are taken in stream order and the stream stops at its first model,
-    which is the least model in lexicographic order, so the verdict is the
-    same for every worker count.  The node and model counts are those of a
-    search that tries one value at a time, up to the tasks in flight when
-    the stream stops.
+    The tasks form one lazy stream in lexicographic order.  At one worker
+    each carrier size is one task, walked whole in this process in wide
+    windows; no prefix is cut.  At more (at most one per CPU), every carrier
+    size is cut at a fixed depth into subtrees of one small window each,
+    one per surviving prefix, and one process pool keeps up to two tasks
+    per worker in flight; it is started only if the stream holds more than
+    that, and a shorter stream runs in this process too.  Results are taken
+    in stream order and the stream stops at its first model, which is the
+    least model in lexicographic order, so the verdict is the same for
+    every worker count.  The node and model counts are those of a search
+    that tries one value at a time, up to the tasks in flight when the
+    stream stops.  A worker count that is not an int, or is below 1, raises
+    ValueError.
     """
+    _require_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
@@ -540,7 +581,7 @@ def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
     # CPUs would only cost forks.
     workers = min(workers, os.cpu_count() or 1)
     cubes = []
-    stream = _tasks(spec, cubes)
+    stream = _tasks(spec, cubes, split=workers > 1)
     window = collections.deque()
     results = []
     pool = None
@@ -595,6 +636,7 @@ def enumerate_models(spec: SearchSpec, limit: int) -> list:
     """The first `limit` models matching the spec that are their own
     canonical form: one per isomorphism class, each the least of its class,
     in lexicographic order (the lex-leader rule)."""
+    _require_int("limit", limit)
     if limit < 0:
         raise ValueError(f"limit must not be negative, got {limit}")
     models = (m for n in range(1, spec.max_n + 1) for m in _SizeSearch(spec, n).run())
@@ -641,7 +683,7 @@ def canonical_form(m: FiniteHomMagma) -> FiniteHomMagma:
 def verify_implication(premises, conclusion, max_n: int, workers: int = 1) -> Verdict:
     """Search for a structure with all the premise types but not the
     conclusion; exhaustion confirms the implication up to the bound."""
-    spec = SearchSpec(max_n=max_n, require=tuple(premises), violate=(conclusion,))
+    spec = SearchSpec(max_n=max_n, require=premises, violate=(conclusion,))
     return find_model(spec, workers=workers)
 
 

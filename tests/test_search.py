@@ -4,6 +4,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import random
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -31,9 +32,11 @@ from homlab import (
     verify_hierarchy,
     verify_implication,
 )
+from homlab import search as search_module
 from homlab.evaluate import magma_program, magma_sides
 from homlab.search import (
-    SPEC_KEYS, _KERNEL_CELLS, _SizeSearch, _parts, _tasks, resolve_requirement,
+    SPEC_KEYS, _KERNEL_CELLS, _TASK_SLOTS, _SizeSearch, _parts, _run_task, _tasks,
+    resolve_requirement,
 )
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
@@ -576,7 +579,7 @@ def test_deep4_runs_no_required_kernel_at_a_table_slot(monkeypatch):
 
 def test_deep4_cells_are_pinned():
     # Row-triple cells the required kernels evaluate at 1 worker.
-    assert find_model(DEEP4).stats.cells == 2_578_941
+    assert find_model(DEEP4).stats.cells == 2_623_744
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
@@ -590,15 +593,57 @@ def test_enumerate_keeps_each_class_least_model(spec):
         assert enumerate_models(spec, limit) == models[:limit]
 
 
+def _record_windows(monkeypatch):
+    """The (pos, stop) of every window _SizeSearch walks, in order."""
+    real, spans = _SizeSearch._window, []
+
+    def recording(self, table, alpha, pendings, pos, stop):
+        spans.append((pos, stop))
+        return real(self, table, alpha, pendings, pos, stop)
+
+    monkeypatch.setattr(_SizeSearch, "_window", recording)
+    return spans
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
+def test_run_windows_of_every_width_match_the_one_value_dfs(monkeypatch, spec):
+    whole = _reference_dfs(spec, spec.max_n, first_only=False)
+    first = _reference_dfs(spec, spec.max_n, first_only=True)
+    probe = _SizeSearch(spec, spec.max_n)
+    slots, width = len(probe.slots), len(probe.domain)
+    spans = _record_windows(monkeypatch)
+    for w in range(1, slots + 1):
+        monkeypatch.setattr("homlab.search._WINDOW_ROWS", width ** w)
+        for first_only, expected in ((False, whole), (True, first)):
+            search = _SizeSearch(spec, spec.max_n)
+            assert search.window_slots() == w
+            spans.clear()
+            found = search.run()
+            models = list(itertools.islice(found, 1) if first_only else found)
+            assert (models, search.nodes, search.models) == expected
+            # The windows end at the leaves; the first takes the remainder.
+            assert spans[0] == (0, slots % w or w)
+            assert all(stop - pos == w for pos, stop in spans[1:])
+
+
 @pytest.mark.parametrize("with_zero, models, nodes", [
     (False, 2_187, 3_279),
     (True, 16_384, 21_844),
 ])
-def test_unpruned_walk_spans_two_windows(with_zero, models, nodes):
+def test_unpruned_walk_spans_two_windows(monkeypatch, with_zero, models, nodes):
     search = _SizeSearch(SearchSpec(max_n=3, with_zero=with_zero), 3)
-    assert len(search.slots) == 7  # more than one window of _TASK_SLOTS
+    assert len(search.slots) == 7
     assert search.table.dtype == search.alpha.dtype == np.uint8
+    # Windows of 5 slots: the first takes the 2 left over, and each of its
+    # D**2 leaves is walked on in a window of its own.
+    width = len(search.domain)
+    monkeypatch.setattr("homlab.search._WINDOW_ROWS", width ** 5)
+    spans = _record_windows(monkeypatch)
+    widest = []
+    _watch_levels(monkeypatch, lambda _, table, *rest: widest.append(len(table)))
     keys = [model_key(m) for m in search.run()]
+    assert spans == [(0, 2)] + [(2, 7)] * width ** 2
+    assert max(widest) == width ** 5
     assert len(keys) == models
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert (search.nodes, search.models) == (nodes, models)
@@ -607,23 +652,85 @@ def test_unpruned_walk_spans_two_windows(with_zero, models, nodes):
 DEEP4 = SearchSpec(max_n=4, require=("I2", "II1", "II3"), violate=("II2",))
 
 
+def _split_stream_stats(spec):
+    """(nodes, cells) of the split stream that find_model hands a pool, run
+    in this process task by task up to its first model."""
+    cubes, results = [], []
+    for task in _tasks(spec, cubes, split=True):
+        results.append(_run_task(task))
+        if results[-1][1] is not None:
+            break
+    nodes = sum(c.nodes for c in cubes) + sum(r[2] for r in results)
+    return nodes, sum(c.cells for c in cubes) + sum(r[4] for r in results)
+
+
 def test_deep4_model_is_the_same_for_every_worker_count():
     serial = find_model(DEEP4, workers=1)
     assert serial.found and serial.bound == 4
     assert (serial.stats.nodes, serial.stats.models) == (35_636, 8_583)
+    # The 1-worker walk takes wider windows than the split tasks, so its
+    # kernels run over other unions of triples: the cells of the workers
+    # are bounded by those of the split stream, not of the serial walk.
+    split_nodes, split_cells = _split_stream_stats(DEEP4)
+    assert split_nodes == serial.stats.nodes
     for workers in (2, 3):
         verdict = find_model(DEEP4, workers=workers)
         assert verdict.model == serial.model and verdict.bound == 4
         # Beyond the serial search, only the tasks in flight when the
         # winner arrives are spent.
         assert verdict.stats.nodes < 1.1 * serial.stats.nodes
-        assert serial.stats.cells <= verdict.stats.cells < 1.1 * serial.stats.cells
+        assert split_cells <= verdict.stats.cells < 1.1 * split_cells
         assert multiprocessing.active_children() == []
+
+
+def test_deep4_levels_stay_within_the_window_rows(monkeypatch):
+    widest = []
+    _watch_levels(monkeypatch, lambda _, table, *rest: widest.append(len(table)))
+    assert find_model(DEEP4).found
+    assert max(widest) <= search_module._WINDOW_ROWS
+    # Wider than any level of a split task's window.
+    assert max(widest) > 5 ** _TASK_SLOTS
+
+
+def test_one_worker_runs_one_task_per_carrier_size_and_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool or a prefix walk at one worker")
+
+    tasks = []
+
+    def recording(task):
+        tasks.append(task)
+        return _run_task(task)
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", refuse)
+    monkeypatch.setattr(_SizeSearch, "prefixes", refuse)
+    monkeypatch.setattr(search_module, "_run_task", recording)
+    exhausted = SearchSpec(max_n=3, require=("I1",), violate=("I3",))
+    for spec, workers, cpus in ((DEEP4, 1, 2), (exhausted, 1, 2), (DEEP4, 4, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        tasks.clear()
+        verdict = find_model(spec, workers=workers)
+        assert verdict.found == (spec is DEEP4)
+        assert tasks == [(spec, n, ()) for n in range(1, spec.max_n + 1)]
+
+
+def test_deep4_memory_stays_small_at_one_worker():
+    find_model(DEEP4)  # kernels and schedules are built once, and cached
+    tracemalloc.start()
+    try:
+        find_model(DEEP4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _task_outcomes(spec):
     """For each task of the stream, whether it holds a model."""
-    return [next(_SizeSearch(spec, n).run(p), None) is not None for _, n, p in _tasks(spec, [])]
+    return [
+        next(_SizeSearch(spec, n).run(p), None) is not None
+        for _, n, p in _tasks(spec, [], split=True)
+    ]
 
 
 def test_exhausted_and_last_task_specs_agree_at_two_workers():
@@ -700,6 +807,33 @@ def test_find_model_refuses_fewer_than_one_worker():
     for workers in (0, -3):
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             find_model(spec, workers=workers)
+
+
+def test_worker_count_and_limit_must_be_integers():
+    # bool is an int subclass; 2.5 would run, and "2" fail as a bare TypeError.
+    spec = SearchSpec(max_n=2, require=("I2",), violate=("I3",))
+    for value in (2.5, "2", True, None):
+        with pytest.raises(ValueError, match=re.escape(f"workers must be an integer, not {value!r}")):
+            find_model(spec, workers=value)
+        with pytest.raises(ValueError, match=re.escape(f"limit must be an integer, not {value!r}")):
+            enumerate_models(spec, limit=value)
+
+
+def test_spec_refuses_a_bare_string_and_flags_that_are_not_bool():
+    # tuple("I1") would be ("I", "1"); with_zero=0 would search without a
+    # zero and print 0 in the spec file.
+    for key in ("require", "violate"):
+        with pytest.raises(HomLabError, match=f"{key} must be a sequence of entries, not the string 'I1'"):
+            SearchSpec(max_n=2, **{key: "I1"})
+    with pytest.raises(HomLabError, match="require must be a sequence"):
+        verify_implication("I1", "I3", 2)
+    for key in ("with_zero", "unital"):
+        for value in (0, 1, "yes", None):
+            with pytest.raises(HomLabError, match=re.escape(f"{key} must be true or false, not {value!r}")):
+                SearchSpec(max_n=2, violate=("I3",), **{key: value})
+            with pytest.raises(HomLabError, match=re.escape(f"{key} must be true or false")):
+                spec_from_dict({"max_n": 2, "violate": ["I3"], key: value})
+    assert SearchSpec(max_n=2, require=["I1"], violate={"I3"}).require == ("I1",)
 
 
 # The kernels read the selected rows of a stack in place through flat
