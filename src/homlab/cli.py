@@ -263,13 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="countermodel search from a spec file")
     p.add_argument("specfile")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="kept for compatibility: the search runs"
+                   " in the calling process, with the same verdicts and statistics for every value")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("reproduce", help="run the whole hierarchy + bracket suite")
     p.add_argument("--max-n", type=int, default=3, dest="max_n")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="kept for compatibility: the search runs"
+                   " in the calling process, with the same verdicts and statistics for every value")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_reproduce)
 

@@ -31,27 +31,18 @@ assigns that twist, since until then the twist is undefined and the triple
 undecided on every row; a level where no triple is ready runs no kernel.
 When a window completes the table, one kernel run per forbidden identity
 over the full grid checks all its leaves; a complete table is accepted
-when every forbidden identity fails on some triple.  Nodes and leaves are
-counted as a search that tries one value at a time would count them.
+when every forbidden identity fails on some triple, and only accepted
+leaves are visited.  Nodes and leaves are counted as a search that tries
+one value at a time would count them.
 
-At one worker each carrier size is one task, walked whole in this process.
-At more, the search is split in the cube-and-conquer style: each carrier
-size is cut at a fixed depth, so that each subtree below a surviving prefix
-is one small window.  The tasks of all sizes form one lazy stream in
-lexicographic order, run in this process when the stream is short, and
-through one process pool (at most one process per CPU) with a bounded
-number of tasks in flight otherwise.  Results are read in stream order and
-the stream stops at its first model, so the verdict is identical for any
-worker count.
+find_model walks each carrier size whole, smallest first, in the calling
+process, and stops at the first model.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
@@ -113,7 +104,7 @@ class SearchSpec:
 class SearchStats:
     """Nodes and leaves (models) as a search trying one value at a time
     counts them, and the row-triple cells the required identities' kernels
-    evaluated, each summed over every task and worker; wall seconds."""
+    evaluated, each summed over the carrier sizes searched; wall seconds."""
 
     nodes: int = 0
     models: int = 0
@@ -221,11 +212,10 @@ class _SizeSearch:
     reads an unassigned cell evaluates to ``size``.  A negative marker
     would not do: numpy reads a negative index as a real element.
 
-    The slots are walked in windows, depth first over windows and breadth
-    first inside each one: run() in windows of ``window_slots()`` slots that
-    end at the leaves, prefixes() in windows of ``_TASK_SLOTS`` from the
-    root.  Only the first window starts from the root; each later one
-    starts from one row.  A window holds its alive rows as stacks
+    The slots are walked in windows of ``window_slots()`` slots that end at
+    the leaves, depth first over windows and breadth first inside each one.
+    Only the first window starts from the root; each later one starts from
+    one row.  A window holds its alive rows as stacks
     (R, s+1, s+1) and (R, s+1) in lexicographic order, in the narrowest
     unsigned dtype that holds ``size``.  Each level
     repeats every row once per domain value, so row r*D + b is child b of
@@ -350,15 +340,12 @@ class _SizeSearch:
                 rows[part] &= (codes == 2).any(axis=1)
         return rows
 
-    def _root(self, prefix):
-        """One-row stacks holding the prefix, and each required identity's
-        (4, k) pending triples under them, filtered at the prefix's last
-        slot, or None if a decided triple fails."""
-        table, alpha = self.table.copy(), self.alpha.copy()
-        for pos, value in enumerate(prefix):
-            self._assign(table, alpha, pos, value)
-        rows, pendings = self._filter(table, alpha, self.scheduled, len(prefix) - 1)
-        return table, alpha, (pendings if len(table[rows]) else None)
+    def _root(self):
+        """Each required identity's (4, k) pending triples under the fixed
+        cells, filtered before the first slot, or None if a decided triple
+        fails."""
+        rows, pendings = self._filter(self.table, self.alpha, self.scheduled, -1)
+        return pendings if len(self.table[rows]) else None
 
     def _assign(self, table, alpha, pos, values):
         kind, i, j = self.slots[pos]
@@ -367,38 +354,18 @@ class _SizeSearch:
         else:
             alpha[..., i] = values
 
-    def prefixes(self, depth: int):
-        """Yield, in lexicographic order, the assignments of the first
-        depth slots that no required identity rejects, as value tuples."""
-        table, alpha, pendings = self._root(())
-        if pendings is None:
-            return
-        ends = list(range(_TASK_SLOTS, depth, _TASK_SLOTS)) + [depth]
-        for table, alpha, row, _ in self._walk(table, alpha, pendings, 0, ends):
-            yield tuple(
-                int(table[row, i, j] if kind == "t" else alpha[row, i])
-                for kind, i, j in self.slots[:depth]
-            )
+    def run(self):
+        """Yield the complete models (as FiniteHomMagma) of this carrier
+        size, in lexicographic order.
 
-    def run(self, prefix: tuple = ()):
-        """Yield the complete models (as FiniteHomMagma) that extend prefix,
-        in lexicographic order.
-
-        The prefix is assigned at once and the root pendings filtered once:
-        a decided triple never changes, so this keeps the pending set and
-        the rejections of filtering after each of its slots.  The rest is
-        walked in windows of ``window_slots()`` slots that end at the
-        leaves; the first window takes the remainder.
+        The slots are walked in windows of ``window_slots()`` slots that end
+        at the leaves; the first window takes the remainder.
         """
-        table, alpha, pendings = self._root(prefix)
+        pendings = self._root()
         if pendings is None:
             return
-        stop = len(self.slots)
-        ends = list(range(stop, len(prefix), -self.window_slots()))[::-1] or [stop]
-        for table, alpha, row, verdicts in self._walk(table, alpha, pendings, len(prefix), ends):
-            self.models += 1
-            if verdicts[row]:
-                yield self._snapshot(table, alpha, row)
+        ends = list(range(len(self.slots), 0, -self.window_slots()))[::-1]
+        yield from self._walk(self.table, self.alpha, pendings, 0, ends)
 
     def window_slots(self) -> int:
         """Slots of a run() window: the most, w, whose D**w children of one
@@ -409,32 +376,36 @@ class _SizeSearch:
         return w
 
     def _walk(self, table, alpha, pendings, pos, ends):
-        """Yield (table, alpha, row, verdicts) for every assignment of slots
-        pos..ends[-1]-1 below the one row of the stacks that no required
-        identity rejects, in lexicographic order, while row ``row`` of the
-        yielded stacks holds it.  When the table is then complete, verdicts
-        holds the leaf check of every row; otherwise it is None.
+        """Yield the models that complete the one row of the stacks, in
+        lexicographic order.
 
-        The windows end at the positions in ``ends``: the first is slots
-        pos..ends[0]-1, and each alive leaf of a window is walked on from
-        its own row.  Nodes are counted as a DFS that tries one value at a
-        time counts them when it reaches the yielded assignment, so a
-        consumer that stops early reads the same count.
+        The windows end at the positions in ``ends``, the last at the
+        leaves: the first is slots pos..ends[0]-1, and each alive leaf of a
+        window is walked on from its own row.  The leaves of the last window
+        go through the leaf check at once, and only the accepted ones are
+        visited.  Nodes and leaves are counted as a DFS that tries one value
+        at a time counts them when it reaches each yielded model, so a
+        consumer that stops early reads the same counts.
         """
         end = ends[0]
         table, alpha, pendings, reached, total = self._window(table, alpha, pendings, pos, end)
-        verdicts = self._violating_rows(table, alpha) if end == len(self.slots) else None
-        counted = 0
-        for row in range(len(table)):
-            self.nodes += int(reached[row]) - counted
-            counted = int(reached[row])
-            if len(ends) == 1:
-                yield table, alpha, row, verdicts
+        last = len(ends) == 1
+        rows = np.flatnonzero(self._violating_rows(table, alpha)) if last else range(len(table))
+        nodes = leaves = 0
+        for row in rows:
+            self.nodes += int(reached[row]) - nodes
+            nodes = int(reached[row])
+            if last:
+                self.models += int(row) + 1 - leaves
+                leaves = int(row) + 1
+                yield self._snapshot(table, alpha, row)
             else:
                 yield from self._walk(
                     table[row:row + 1], alpha[row:row + 1], pendings, end, ends[1:]
                 )
-        self.nodes += total - counted
+        self.nodes += total - nodes
+        if last:
+            self.models += len(table) - leaves
 
     def _window(self, table, alpha, pendings, pos, stop):
         """Breadth first over slots pos..stop-1 below the one row of the
@@ -523,33 +494,6 @@ def _reverify(spec: SearchSpec, m: FiniteHomMagma) -> FiniteHomMagma:
     return m
 
 
-# Slots of a split task, and of each window of the prefix walk that cuts
-# the tasks: the split depth leaves one window below each prefix.
-_TASK_SLOTS = 5
-
-
-def _tasks(spec: SearchSpec, cubes: list, split: bool):
-    """(spec, nonzero, prefix) for every carrier size, lazily and in the
-    serial DFS's order.  Without split, each size is one task with the empty
-    prefix.  With it, each surviving prefix at depth len(slots) -
-    _TASK_SLOTS is one task, and the prefix search of each size goes to
-    cubes, which keeps its node count."""
-    for nonzero in range(1, spec.max_n + 1):
-        if split:
-            cube = _SizeSearch(spec, nonzero)
-            cubes.append(cube)
-            for prefix in cube.prefixes(max(len(cube.slots) - _TASK_SLOTS, 0)):
-                yield spec, nonzero, prefix
-        else:
-            yield spec, nonzero, ()
-
-
-def _run_task(task):
-    spec, nonzero, prefix = task
-    search = _SizeSearch(spec, nonzero)
-    return nonzero, next(search.run(prefix), None), search.nodes, search.models, search.cells
-
-
 def _require_int(name: str, value):
     # bool is an int subclass; a float or a str would fail later, or not at all.
     if not isinstance(value, int) or isinstance(value, bool):
@@ -559,77 +503,32 @@ def _require_int(name: str, value):
 def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
     """Smallest countermodel within the bound, or an exhaustion certificate.
 
-    The tasks form one lazy stream in lexicographic order.  At one worker
-    each carrier size is one task, walked whole in this process in wide
-    windows; no prefix is cut.  At more (at most one per CPU), every carrier
-    size is cut at a fixed depth into subtrees of one small window each,
-    one per surviving prefix, and one process pool keeps up to two tasks
-    per worker in flight; it is started only if the stream holds more than
-    that, and a shorter stream runs in this process too.  Results are taken
-    in stream order and the stream stops at its first model, which is the
-    least model in lexicographic order, so the verdict is the same for
-    every worker count.  The node and model counts are those of a search
-    that tries one value at a time, up to the tasks in flight when the
-    stream stops.  A worker count that is not an int, or is below 1, raises
-    ValueError.
+    Each carrier size is walked whole, smallest first, in the calling
+    process, and the walk stops at the first model, which is the least in
+    lexicographic order.  The node and model counts are those of a search
+    that tries one value at a time.  ``workers`` is kept for the public API
+    and the command line: the search runs in the calling process whatever
+    its value, and the verdict and the node, model and cell counts are the
+    same for every value.  A worker count that is not an int, or is below
+    1, raises ValueError.
     """
     _require_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
-    # Verdicts do not depend on the worker count, so more processes than
-    # CPUs would only cost forks.
-    workers = min(workers, os.cpu_count() or 1)
-    cubes = []
-    stream = _tasks(spec, cubes, split=workers > 1)
-    window = collections.deque()
-    results = []
-    pool = None
-    if workers > 1:
-        # A stream that ends within one window's worth of tasks is not
-        # worth a pool: look that far ahead before forking.
-        head = list(itertools.islice(stream, 2 * workers + 1))
-        stream = itertools.chain(head, stream)
-        if len(head) > 2 * workers:
-            pool = multiprocessing.get_context("fork").Pool(workers)
-    if pool is None:
-        limit = 1
-
-        def submit(task):
-            result = _run_task(task)
-            return lambda: result
-    else:
-        limit = 2 * workers
-
-        def submit(task):
-            return pool.apply_async(_run_task, (task,)).get
-
-    try:
-        while True:
-            window.extend(submit(t) for t in itertools.islice(stream, limit - len(window)))
-            if not window:
-                break
-            results.append(window.popleft()())
-            if results[-1][1] is not None:
-                break
-        # Tasks already handed out are small: finish them rather than kill
-        # busy workers, and count their nodes as spent.
-        results += [pending() for pending in window]
-    except BaseException:
-        if pool is not None:
-            pool.terminate()  # a worker may have died, and its task with it
-        raise
-    if pool is not None:
-        pool.close()
-        pool.join()
-    nodes = sum(c.nodes for c in cubes) + sum(r[2] for r in results)
-    models = sum(r[3] for r in results)
-    cells = sum(c.cells for c in cubes) + sum(r[4] for r in results)
+    nodes = models = cells = 0
+    for nonzero in range(1, spec.max_n + 1):
+        search = _SizeSearch(spec, nonzero)
+        model = next(search.run(), None)
+        nodes += search.nodes
+        models += search.models
+        cells += search.cells
+        if model is not None:
+            break
     stats = SearchStats(nodes, models, time.perf_counter() - start, cells)
-    winner = next((r for r in results if r[1] is not None), None)
-    if winner is None:
+    if model is None:
         return Verdict(None, spec.max_n, stats)
-    return Verdict(_reverify(spec, winner[1]), winner[0], stats)
+    return Verdict(_reverify(spec, model), nonzero, stats)
 
 
 def enumerate_models(spec: SearchSpec, limit: int) -> list:

@@ -1,8 +1,6 @@
 import itertools
 import math
 import multiprocessing
-import multiprocessing.pool
-import os
 import random
 import re
 import tracemalloc
@@ -34,10 +32,7 @@ from homlab import (
 )
 from homlab import search as search_module
 from homlab.evaluate import magma_program, magma_sides
-from homlab.search import (
-    SPEC_KEYS, _KERNEL_CELLS, _TASK_SLOTS, _SizeSearch, _parts, _run_task, _tasks,
-    resolve_requirement,
-)
+from homlab.search import SPEC_KEYS, _KERNEL_CELLS, _SizeSearch, _parts, resolve_requirement
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -354,32 +349,13 @@ def test_soundness_on_random_specs():
         assert v.found == bool(oracle)
 
 
-# Small specs for the split: with and without zero, unital and not.
+# Small specs with and without zero, unital and not.
 SPLIT_SPECS = (
     SearchSpec(max_n=3, require=("I2", "II1"), violate=("I3",)),
     SearchSpec(max_n=3, require=("I1",), with_zero=False),
     SearchSpec(max_n=2, require=("x*y = y*x",), violate=("I1",), with_zero=False, unital=False),
     SearchSpec(max_n=2, require=("II2",), unital=False),
 )
-
-
-@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=("zero-unit", "unit", "bare", "zero"))
-def test_split_at_every_depth_matches_the_whole_search(spec):
-    whole = _SizeSearch(spec, spec.max_n)
-    serial = list(whole.run())
-    assert serial
-    for depth in range(len(whole.slots) + 1):
-        cube = _SizeSearch(spec, spec.max_n)
-        models, nodes, leaves = [], 0, 0
-        for prefix in cube.prefixes(depth):
-            assert len(prefix) == depth
-            part = _SizeSearch(spec, spec.max_n)
-            models += part.run(prefix)
-            nodes += part.nodes
-            leaves += part.models
-        assert models == serial
-        assert cube.nodes + nodes == whole.nodes
-        assert leaves == whole.models
 
 
 def _reference_dfs(spec, nonzero, first_only):
@@ -444,22 +420,6 @@ def _reference_dfs(spec, nonzero, first_only):
     return models, count["nodes"], count["leaves"]
 
 
-def _split_walk(spec, depth, first_only):
-    """_SizeSearch cut at depth, read the way find_model reads it at one
-    worker: (models, nodes, leaves)."""
-    cube = _SizeSearch(spec, spec.max_n)
-    models, nodes, leaves = [], 0, 0
-    for prefix in cube.prefixes(depth):
-        part = _SizeSearch(spec, spec.max_n)
-        found = part.run(prefix)
-        models += itertools.islice(found, 1) if first_only else found
-        nodes += part.nodes
-        leaves += part.models
-        if first_only and models:
-            break
-    return models, cube.nodes + nodes, leaves
-
-
 # Specs whose required identities the readiness schedule bounds in other
 # ways: a twist of a product adds no bound (III, and III' beside its twists
 # of x and z), a twist of the unit waits for the slot of a(1), and an
@@ -481,17 +441,6 @@ REFERENCE_IDS = (
 ) + SCHEDULE_IDS
 
 
-@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
-def test_window_walk_matches_the_one_value_dfs(spec):
-    whole = _reference_dfs(spec, spec.max_n, first_only=False)
-    first = _reference_dfs(spec, spec.max_n, first_only=True)
-    assert first[0] == whole[0][:1]
-    slots = len(_SizeSearch(spec, spec.max_n).slots)
-    for depth in range(slots + 1):
-        assert _split_walk(spec, depth, first_only=False) == whole
-        assert _split_walk(spec, depth, first_only=True) == first
-
-
 def _seen_set_dedupe(spec, limit):
     """Each isomorphism class's first model in search order, as
     enumerate_models once kept them with a set of canonical keys."""
@@ -510,16 +459,16 @@ def _seen_set_dedupe(spec, limit):
 def _watch_levels(monkeypatch, check):
     """Calls check(search, table, alpha, pendings, pos) before every
     _filter call, and returns the list of (slot, cells) of every run of a
-    required kernel, where slot is the window level's slot, or None when a
-    root (a whole prefix, from the full triple sets) is filtered."""
+    required kernel, where slot is the window level's slot, or None when the
+    root (the fixed cells, from the full triple sets) is filtered."""
     real_root, real_filter = _SizeSearch._root, _SizeSearch._filter
     real_codes = _SizeSearch._codes
     rooting, level, runs = [], [], []
 
-    def watched_root(self, prefix):
-        rooting.append(prefix)
+    def watched_root(self):
+        rooting.append(True)
         try:
-            return real_root(self, prefix)
+            return real_root(self)
         finally:
             rooting.pop()
 
@@ -561,8 +510,10 @@ def test_skipped_triples_are_undecided_on_every_row(monkeypatch, spec):
     _watch_levels(
         monkeypatch, lambda *level: _skipped_triples_read_undecided(*level, skipped)
     )
-    for depth in range(len(_SizeSearch(spec, spec.max_n).slots) + 1):
-        _split_walk(spec, depth, first_only=False)
+    probe = _SizeSearch(spec, spec.max_n)
+    for w in range(1, len(probe.slots) + 1):
+        monkeypatch.setattr("homlab.search._WINDOW_ROWS", len(probe.domain) ** w)
+        list(_SizeSearch(spec, spec.max_n).run())
     assert sum(skipped) > 0
 
 
@@ -652,35 +603,13 @@ def test_unpruned_walk_spans_two_windows(monkeypatch, with_zero, models, nodes):
 DEEP4 = SearchSpec(max_n=4, require=("I2", "II1", "II3"), violate=("II2",))
 
 
-def _split_stream_stats(spec):
-    """(nodes, cells) of the split stream that find_model hands a pool, run
-    in this process task by task up to its first model."""
-    cubes, results = [], []
-    for task in _tasks(spec, cubes, split=True):
-        results.append(_run_task(task))
-        if results[-1][1] is not None:
-            break
-    nodes = sum(c.nodes for c in cubes) + sum(r[2] for r in results)
-    return nodes, sum(c.cells for c in cubes) + sum(r[4] for r in results)
-
-
 def test_deep4_model_is_the_same_for_every_worker_count():
     serial = find_model(DEEP4, workers=1)
     assert serial.found and serial.bound == 4
     assert (serial.stats.nodes, serial.stats.models) == (35_636, 8_583)
-    # The 1-worker walk takes wider windows than the split tasks, so its
-    # kernels run over other unions of triples: the cells of the workers
-    # are bounded by those of the split stream, not of the serial walk.
-    split_nodes, split_cells = _split_stream_stats(DEEP4)
-    assert split_nodes == serial.stats.nodes
     for workers in (2, 3):
         verdict = find_model(DEEP4, workers=workers)
         assert verdict.model == serial.model and verdict.bound == 4
-        # Beyond the serial search, only the tasks in flight when the
-        # winner arrives are spent.
-        assert verdict.stats.nodes < 1.1 * serial.stats.nodes
-        assert split_cells <= verdict.stats.cells < 1.1 * split_cells
-        assert multiprocessing.active_children() == []
 
 
 def test_deep4_levels_stay_within_the_window_rows(monkeypatch):
@@ -688,30 +617,9 @@ def test_deep4_levels_stay_within_the_window_rows(monkeypatch):
     _watch_levels(monkeypatch, lambda _, table, *rest: widest.append(len(table)))
     assert find_model(DEEP4).found
     assert max(widest) <= search_module._WINDOW_ROWS
-    # Wider than any level of a split task's window.
-    assert max(widest) > 5 ** _TASK_SLOTS
-
-
-def test_one_worker_runs_one_task_per_carrier_size_and_no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool or a prefix walk at one worker")
-
-    tasks = []
-
-    def recording(task):
-        tasks.append(task)
-        return _run_task(task)
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", refuse)
-    monkeypatch.setattr(_SizeSearch, "prefixes", refuse)
-    monkeypatch.setattr(search_module, "_run_task", recording)
-    exhausted = SearchSpec(max_n=3, require=("I1",), violate=("I3",))
-    for spec, workers, cpus in ((DEEP4, 1, 2), (exhausted, 1, 2), (DEEP4, 4, 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        tasks.clear()
-        verdict = find_model(spec, workers=workers)
-        assert verdict.found == (spec is DEEP4)
-        assert tasks == [(spec, n, ()) for n in range(1, spec.max_n + 1)]
+    # Windows of 7 slots over 13: the first takes the 6 table cells left
+    # over, where no kernel runs, so its last level keeps all 5**6 rows.
+    assert max(widest) == 5 ** 6
 
 
 def test_deep4_memory_stays_small_at_one_worker():
@@ -725,81 +633,28 @@ def test_deep4_memory_stays_small_at_one_worker():
     assert peak < 4 * 2 ** 20
 
 
-def _task_outcomes(spec):
-    """For each task of the stream, whether it holds a model."""
-    return [
-        next(_SizeSearch(spec, n).run(p), None) is not None
-        for _, n, p in _tasks(spec, [], split=True)
-    ]
-
-
 def test_exhausted_and_last_task_specs_agree_at_two_workers():
     exhausted = SearchSpec(max_n=3, require=("I1",), violate=("I3",))
-    # The only model lies under the last split prefix of the last size.
+    # Unit-free, with models only at the last carrier size.
     last = SearchSpec(max_n=2, require=("I1",), violate=("II2",), unital=False)
-    outcomes = _task_outcomes(last)
-    assert len(outcomes) > 2 and outcomes.index(True) == len(outcomes) - 1
     for spec in (exhausted, last):
         one, two = find_model(spec, workers=1), find_model(spec, workers=2)
         assert verdict_to_dict(one) == verdict_to_dict(two)
         assert (one.found, one.bound) == (spec is last, spec.max_n)
 
 
-def test_no_worker_outlives_an_early_stop(monkeypatch):
-    def refuse(pool):
-        raise AssertionError("terminate() called on the normal path")
+def test_no_worker_count_changes_the_statistics_or_starts_a_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
-    spec = SearchSpec(max_n=3, require=("II2", "II3"), violate=("II1",))
-    outcomes = _task_outcomes(spec)
-    # More tasks follow the winner than the window of 2 x 2 holds.
-    assert len(outcomes) - outcomes.index(True) > 5
-    verdict = find_model(spec, workers=2)
-    assert verdict.found and verdict.bound == 3
-    assert multiprocessing.active_children() == []
-
-
-def test_pool_starts_only_for_a_stream_longer_than_its_window(monkeypatch):
-    context = multiprocessing.get_context("fork")
-    started, real = [], context.Pool
-
-    def counting(processes=None, *args, **kwargs):
-        started.append(processes)
-        return real(processes, *args, **kwargs)
-
-    monkeypatch.setattr(context, "Pool", counting)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    short = SearchSpec(max_n=2, require=("I2",), violate=("I3",))
-    assert verdict_to_dict(find_model(short, workers=2)) == verdict_to_dict(find_model(short))
-    assert verify_hierarchy(max_n=2, workers=2).passed
-    assert started == []
-    assert find_model(DEEP4, workers=2).found
-    assert started == [2]
-    assert multiprocessing.active_children() == []
-
-
-class _Refused(Exception):
-    pass
-
-
-def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
-    # The stand-in pool records the size asked for and starts nothing.
-    asked = []
-
-    def record(processes=None, *args, **kwargs):
-        asked.append(processes)
-        raise _Refused
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", record)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    with pytest.raises(_Refused):
-        find_model(DEEP4, workers=100_000)
-    assert asked == [3]
-    # Unknown CPU count: one worker, in this process.
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", refuse)
     exhausted = SearchSpec(max_n=3, require=("I1",), violate=("I3",))
-    assert not find_model(exhausted, workers=100_000).found
-    assert asked == [3]
+    for spec in (DEEP4, exhausted):
+        verdicts = [find_model(spec, workers=w) for w in (1, 2, 8, 100_000)]
+        assert verdicts[0].found == (spec is DEEP4)
+        assert len({str(verdict_to_dict(v)) for v in verdicts}) == 1
+        assert len({(v.stats.nodes, v.stats.models, v.stats.cells) for v in verdicts}) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_find_model_refuses_fewer_than_one_worker():
