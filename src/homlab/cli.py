@@ -115,7 +115,8 @@ def _cmd_search(args) -> int:
         text = f"exhausted: no model with at most {verdict.bound} nonzero elements"
     text += (
         f"\n[{verdict.stats.nodes} nodes, {verdict.stats.models} models tested, "
-        f"{verdict.stats.cells} cells evaluated, {verdict.stats.seconds:.3f}s]"
+        f"{verdict.stats.cells} cells evaluated, "
+        f"{verdict.stats.leaf_cells} in the leaf check, {verdict.stats.seconds:.3f}s]"
     ) if not args.json else ""
     _emit(args, payload, text)
     return REFUTED if verdict.found else OK

@@ -30,10 +30,13 @@ one of its variables (or the unit) waits, unevaluated, until the slot that
 assigns that twist, since until then the twist is undefined and the triple
 undecided on every row; a level where no triple is ready runs no kernel.
 When a window completes the table, one kernel run per forbidden identity
-over the full grid checks all its leaves; a complete table is accepted
-when every forbidden identity fails on some triple, and only accepted
-leaves are visited.  Nodes and leaves are counted as a search that tries
-one value at a time would count them.
+checks all its leaves; a complete table is accepted when every forbidden
+identity fails on some triple, and only accepted leaves are visited.
+Neither the schedules nor the leaf check hold a triple that the fixed
+cells alone decide: one whose two sides reduce to the same term by
+``1*t = t*1 = t``, ``0*t = t*0 = 0`` and ``a(0) = 0``, so that it is equal
+in every completion (see ``_live_triples``).  Nodes and leaves are
+counted as a search that tries one value at a time would count them.
 
 find_model walks each carrier size whole, smallest first, in the calling
 process, and stops at the first model.
@@ -103,13 +106,17 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchStats:
     """Nodes and leaves (models) as a search trying one value at a time
-    counts them, and the row-triple cells the required identities' kernels
-    evaluated, each summed over the carrier sizes searched; wall seconds."""
+    counts them, the row-triple cells the required identities' kernels
+    evaluated (``cells``) and those the forbidden identities' kernels
+    evaluated in the leaf check (``leaf_cells``), each summed over the
+    carrier sizes searched; wall seconds.  Neither cell count includes a
+    triple that the fixed cells decide (see ``_live_triples``)."""
 
     nodes: int = 0
     models: int = 0
     seconds: float = 0.0
     cells: int = 0
+    leaf_cells: int = 0
 
 
 @dataclass(frozen=True)
@@ -229,11 +236,15 @@ class _SizeSearch:
     one; it is looked up at the flat pair index ``lhs * (s+1) + rhs``,
     computed in ``intp``.
 
-    Each identity's pending triples are a (4, k) array: x, y, z and the
-    triple's ready slot, sorted by it (see ``_scheduled_triples``).  A
-    level runs an identity's kernel only on the prefix of triples that are
-    ready at its slot; the others read code 1 on every row and wait.
-    ``cells`` counts the row-triple cells the required kernels evaluated.
+    Each identity's pending triples start as its live triples, those the
+    fixed cells do not decide (see ``_live_triples``), in a (4, k) array:
+    x, y, z and the triple's ready slot, sorted by it (see
+    ``_scheduled_triples``).  A level runs an identity's kernel only on the
+    prefix of triples that are ready at its slot; the others read code 1
+    on every row and wait.  The leaf check runs each forbidden identity
+    on its live triples, ``leaf_triples``.  ``cells`` counts the
+    row-triple cells the required kernels evaluated, and ``leaf_cells``
+    those of the leaf check.
     """
 
     def __init__(self, spec: SearchSpec, nonzero: int):
@@ -247,16 +258,19 @@ class _SizeSearch:
         self.slots += [("a", i, i) for i in range(nonzero)]
         self.domain = ([self.zero] if self.zero is not None else []) + list(range(nonzero))
         required = [self._program(r) for r in spec.require]
+        forbidden = [self._program(v) for v in spec.violate]
         self.require = [evaluate.magma_kernel(p) for p in required]
-        self.violate = [evaluate.magma_kernel(self._program(v)) for v in spec.violate]
+        self.violate = [evaluate.magma_kernel(p) for p in forbidden]
+        self.leaf_triples = [_live_triples(p, self.size, self.unit, self.zero) for p in forbidden]
         # The position of the slot that assigns each element's twist; the
         # zero's twist is fixed.
         twist_slot = tuple(range(len(self.slots) - nonzero, len(self.slots)))
         twist_slot += (-1,) * (self.size - nonzero)
-        self.scheduled = [_scheduled_triples(p, twist_slot, self.unit) for p in required]
+        self.scheduled = [_scheduled_triples(p, twist_slot, self.unit, self.zero) for p in required]
         self.nodes = 0
         self.models = 0
         self.cells = 0
+        self.leaf_cells = 0
 
         undef = self.size
         dtype = np.min_scalar_type(undef)
@@ -273,7 +287,6 @@ class _SizeSearch:
         self.code = np.full((undef + 1, undef + 1), 2, dtype=np.int8)
         self.code[np.arange(undef), np.arange(undef)] = 0
         self.code[undef, :] = self.code[:, undef] = 1
-        self._all_triples = np.indices((undef,) * 3).reshape(3, -1)
 
     def _program(self, entry: Requirement):
         program = evaluate.magma_program(resolve_requirement(entry))
@@ -331,12 +344,14 @@ class _SizeSearch:
         ]
 
     def _violating_rows(self, table, alpha):
-        """Rows of complete tables in which every forbidden identity fails."""
+        """Rows of complete tables in which every forbidden identity fails
+        on one of its live triples (the others hold on every table)."""
         rows = np.ones(len(table), dtype=bool)
-        for part in _parts(len(table), self._all_triples.shape[1]):
-            selected = np.arange(len(table))[part]
-            for kernel in self.violate:
-                codes = self._codes(kernel, table, alpha, selected, self._all_triples)
+        for kernel, triples in zip(self.violate, self.leaf_triples):
+            for part in _parts(len(table), triples.shape[1]):
+                selected = np.arange(len(table))[part]
+                self.leaf_cells += len(selected) * triples.shape[1]
+                codes = self._codes(kernel, table, alpha, selected, triples)
                 rows[part] &= (codes == 2).any(axis=1)
         return rows
 
@@ -442,12 +457,58 @@ class _SizeSearch:
         )
 
 
+def _reduced_sides(program, triple, unit, zero):
+    """The program's two sides at one (x, y, z) of element indices, as
+    terms reduced by the fixed cells alone: ``1*t = t``, ``t*1 = t``,
+    ``0*t = t*0 = 0`` and ``a(0) = 0``.  An element is its index, and any
+    other term is ``("a", t)`` or ``("*", l, r)``."""
+
+    def twist(v):
+        return zero if v == zero else ("a", v)
+
+    def product(l, r):
+        if l == unit:
+            return r
+        if r == unit:
+            return l
+        return zero if zero in (l, r) else ("*", l, r)
+
+    return evaluate.run_program(program, dict(zip("xyz", triple)), unit, twist, product)
+
+
 @functools.cache
-def _scheduled_triples(program, twist_slot: tuple, unit) -> np.ndarray:
-    """Every triple over ``len(twist_slot)`` elements as a read-only (4, k)
-    array: x, y and z above each triple's ready slot, sorted by it, x-major
-    among equals.  twist_slot[v] is the position of the slot that assigns
-    the twist of element v, or -1 if that twist is fixed.
+def _live_triples(program, size: int, unit, zero) -> np.ndarray:
+    """The triples over ``size`` elements whose two sides the fixed cells
+    do not reduce to the same term (see ``_reduced_sides``), as a read-only
+    (3, k) array, x-major.
+
+    A dropped triple is equal in every completion of the table, and a cell
+    never changes once assigned, so it reads code 0 or 1 on every partial
+    table and 0 on every complete one: neither the required kernels nor
+    the leaf check need it.  The reduction depends only on the triple's
+    pattern (which coordinates are the unit, which the zero, and which of
+    the others are equal), so it runs once per pattern, on the first triple
+    of each.  Built once per program and carrier."""
+    triples = np.indices((size,) * 3).reshape(3, -1)
+    kind = np.where(triples == (-1 if unit is None else unit), 0, 2)
+    kind[triples == (-1 if zero is None else zero)] = 1
+    x, y, z = triples
+    pattern = kind[0] + 3 * kind[1] + 9 * kind[2] + 27 * ((x == y) + 2 * (x == z) + 4 * (y == z))
+    _, first, which = np.unique(pattern, return_index=True, return_inverse=True)
+    sides = (_reduced_sides(program, triples[:, i].tolist(), unit, zero) for i in first)
+    live = np.array([lhs != rhs for lhs, rhs in sides], dtype=bool)
+    out = triples[:, live[which]]
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _scheduled_triples(program, twist_slot: tuple, unit, zero) -> np.ndarray:
+    """The live triples (``_live_triples``) over ``len(twist_slot)``
+    elements as a read-only (4, k) array: x, y and z above each triple's
+    ready slot, sorted by it, x-major among equals.  twist_slot[v] is the
+    position of the slot that assigns the twist of element v, or -1 if
+    that twist is fixed.
 
     The ready slot is the greatest position that assigns a twist one of
     the program's twist steps reads directly from a variable or the unit,
@@ -456,7 +517,7 @@ def _scheduled_triples(program, twist_slot: tuple, unit) -> np.ndarray:
     later product and twist, so the triple reads code 1 on every row.
     Built once per program and carrier."""
     slot = np.array(twist_slot, dtype=np.intp)
-    triples = np.indices((len(slot),) * 3).reshape(3, -1)
+    triples = _live_triples(program, len(slot), unit, zero)
     ready = np.full(triples.shape[1], -1, dtype=np.intp)
     leaves = {"x": triples[0], "y": triples[1], "z": triples[2], "1": unit}
     for step in program.steps:
@@ -516,16 +577,17 @@ def find_model(spec: SearchSpec, workers: int = 1) -> Verdict:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
-    nodes = models = cells = 0
+    nodes = models = cells = leaf_cells = 0
     for nonzero in range(1, spec.max_n + 1):
         search = _SizeSearch(spec, nonzero)
         model = next(search.run(), None)
         nodes += search.nodes
         models += search.models
         cells += search.cells
+        leaf_cells += search.leaf_cells
         if model is not None:
             break
-    stats = SearchStats(nodes, models, time.perf_counter() - start, cells)
+    stats = SearchStats(nodes, models, time.perf_counter() - start, cells, leaf_cells)
     if model is None:
         return Verdict(None, spec.max_n, stats)
     return Verdict(_reverify(spec, model), nonzero, stats)

@@ -102,6 +102,15 @@ def test_search_exhaustion_exits_zero(capsys, tmp_path):
     assert json.loads(out)["outcome"] == "exhausted"
 
 
+def test_search_text_summary_shows_the_leaf_check_cells(capsys, spec_file):
+    stats = find_model(spec_from_dict({"max_n": 2, "require": ["I2"], "violate": ["I3"]})).stats
+    assert stats.leaf_cells > 0
+    code, out = run(capsys, ["search", spec_file])
+    assert f"{stats.cells} cells evaluated, {stats.leaf_cells} in the leaf check, " in out
+    code, out = run(capsys, ["search", spec_file, "--json"])
+    assert "leaf" not in out
+
+
 def test_search_text_summary_shows_the_search_counts(capsys, spec_file):
     code, out = run(capsys, ["search", spec_file])
     assert code == 1

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import operator
 import multiprocessing
 import random
 import re
@@ -32,7 +34,16 @@ from homlab import (
 )
 from homlab import search as search_module
 from homlab.evaluate import magma_program, magma_sides
-from homlab.search import SPEC_KEYS, _KERNEL_CELLS, _SizeSearch, _parts, resolve_requirement
+from homlab.cli import main
+from homlab.search import (
+    SPEC_KEYS,
+    _KERNEL_CELLS,
+    _SizeSearch,
+    _live_triples,
+    _parts,
+    _reduced_sides,
+    resolve_requirement,
+)
 
 FIXTURES = {f.num: f for f in counterexample_fixtures()}
 
@@ -460,7 +471,7 @@ def _watch_levels(monkeypatch, check):
     """Calls check(search, table, alpha, pendings, pos) before every
     _filter call, and returns the list of (slot, cells) of every run of a
     required kernel, where slot is the window level's slot, or None when the
-    root (the fixed cells, from the full triple sets) is filtered."""
+    root (the fixed cells, from the live triple sets) is filtered."""
     real_root, real_filter = _SizeSearch._root, _SizeSearch._filter
     real_codes = _SizeSearch._codes
     rooting, level, runs = [], [], []
@@ -529,8 +540,10 @@ def test_deep4_runs_no_required_kernel_at_a_table_slot(monkeypatch):
 
 
 def test_deep4_cells_are_pinned():
-    # Row-triple cells the required kernels evaluate at 1 worker.
-    assert find_model(DEEP4).stats.cells == 2_623_744
+    # Row-triple cells the required kernels and the leaf check evaluate at
+    # 1 worker, on the live triples only.
+    stats = find_model(DEEP4).stats
+    assert (stats.cells, stats.leaf_cells) == (1_290_304, 397_298)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
@@ -726,8 +739,9 @@ def test_codes_read_wide_uint8_stacks_in_place(monkeypatch):
     rng = np.random.default_rng(11)
     table, alpha = _wide_stacks(search, rng, 8)
     assert table.dtype == np.uint8 and table.shape[-1] == 18
-    picked = rng.choice(search._all_triples.shape[1], 600, replace=False)
-    triples = search._all_triples[:, picked]
+    grid = np.indices((search.size,) * 3).reshape(3, -1)
+    picked = rng.choice(grid.shape[1], 600, replace=False)
+    triples = grid[:, picked]
     programs = [magma_program(resolve_requirement(r)) for r in spec.require + spec.violate]
     reference = {
         (p, r): _reference_codes(p, table[r], alpha[r], search.unit, triples)
@@ -748,7 +762,7 @@ def test_codes_read_wide_uint8_stacks_in_place(monkeypatch):
     # alive.
     required = programs[:2]
     alive = [r for r in range(len(table)) if all(2 not in reference[p, r] for p in required)]
-    rest = np.delete(search._all_triples, picked, axis=1)
+    rest = np.delete(grid, picked, axis=1)
     failing = np.any([
         _reference_codes(p, table[r], alpha[r], search.unit, rest) == 2
         for p in required for r in alive
@@ -778,3 +792,120 @@ def test_codes_read_wide_uint8_stacks_in_place(monkeypatch):
     kept, pendings = search._filter(table, alpha, late, 0)
     assert np.arange(len(table))[kept].tolist() == list(range(len(table)))
     assert all(p is q for p, q in zip(pendings, late))
+
+
+# The fixed cells (the unit's row and column, the zero's row, column and
+# twist) decide some triples alone: their two sides reduce to the same term
+# by 1*t = t*1 = t, 0*t = t*0 = 0 and a(0) = 0.  The search drops them from
+# the schedules and the leaf check, which must not change what it finds.
+
+REDUCTION_ENTRIES = TYPE_NAMES + ("x*y = y", "x*y = y*x", "1 = a(1)", "x*1 = x", "x*y = x*y")
+
+
+def _complete_stacks(search, rng, rows):
+    """uint8 stacks of complete tables, every free cell and twist random."""
+    table = np.repeat(search.table, rows, axis=0)
+    alpha = np.repeat(search.alpha, rows, axis=0)
+    for kind, i, j in search.slots:
+        values = rng.integers(0, search.size, rows)
+        if kind == "t":
+            table[:, i, j] = values
+        else:
+            alpha[:, i] = values
+    return table, alpha
+
+
+def _reference_ready(program, search, triple):
+    """The ready slot of one triple, read off the program step by step."""
+    first_twist = len(search.slots) - search.n
+    ready = -1
+    for step in program.steps:
+        if step[0] == "a" and program.steps[step[1]][0] in "xyz1":
+            leaf = program.steps[step[1]][0]
+            value = search.unit if leaf == "1" else triple["xyz".index(leaf)]
+            if value != search.zero:
+                ready = max(ready, first_twist + value)
+    return ready
+
+
+@pytest.mark.parametrize("entry", REDUCTION_ENTRIES)
+def test_triples_the_fixed_cells_decide_never_read_unequal(entry):
+    rng = np.random.default_rng(sum(map(ord, entry)))
+    program = magma_program(resolve_requirement(entry))
+    for nonzero, with_zero, unital in itertools.product((1, 2, 3, 4), (True, False), (True, False)):
+        if program.uses_unit and not unital:
+            continue
+        spec = SearchSpec(max_n=nonzero, require=(entry,), with_zero=with_zero, unital=unital)
+        search = _SizeSearch(spec, nonzero)
+        grid = np.indices((search.size,) * 3).reshape(3, -1)
+        # The reduction of every triple on its own, against the one per
+        # pattern that the search uses.
+        live = np.array([
+            operator.ne(*_reduced_sides(program, t, search.unit, search.zero))
+            for t in grid.T.tolist()
+        ], dtype=bool)
+        assert np.array_equal(_live_triples(program, search.size, search.unit, search.zero),
+                              grid[:, live])
+        dropped = grid[:, ~live]
+        partial, complete = _wide_stacks(search, rng, 8), _complete_stacks(search, rng, 8)
+        for (table, alpha), most in ((partial, 1), (complete, 0)):
+            for r in range(len(table)):
+                codes = _reference_codes(program, table[r], alpha[r], search.unit, dropped)
+                assert codes.max(initial=0) <= most, (nonzero, with_zero, unital, r)
+        # The schedule holds exactly the live triples, sorted by ready slot
+        # and x-major among equals.
+        ready = [_reference_ready(program, search, t) for t in grid[:, live].T.tolist()]
+        order = np.argsort(ready, kind="stable")
+        expected = np.vstack([grid[:, live], ready])[:, order]
+        assert np.array_equal(search.scheduled[0], expected)
+
+
+def test_fixed_cells_decide_the_pinned_share_of_each_catalog_type():
+    # Of the 125 triples over 4 nonzero elements, the unit and the zero.
+    dropped = {}
+    for name in TYPE_NAMES:
+        program = magma_program(resolve_requirement(name))
+        dropped[name] = 125 - _live_triples(program, 5, 0, 4).shape[1]
+    assert dropped == {
+        "I1": 62, "I2": 89, "I3": 62, "II": 65, "II1": 62, "II2": 77, "II3": 62,
+        "III": 98, "III'": 77, "III''": 61,
+    }
+
+
+def test_empty_triple_sets_run_through_every_step():
+    search = _SizeSearch(SearchSpec(max_n=3, require=("x*1 = x",), violate=("1*x = x",)), 3)
+    assert search.scheduled[0].shape == (4, 0) and search.leaf_triples[0].shape == (3, 0)
+    assert _parts(5, 0) == [slice(0, _KERNEL_CELLS)]
+    table, alpha = _complete_stacks(search, np.random.default_rng(3), 4)
+    rows = np.arange(4)
+    assert search._codes(search.violate[0], table, alpha, rows, np.empty((3, 0), np.intp)).shape == (4, 0)
+    kept, pendings = search._filter(table, alpha, search.scheduled, len(search.slots))
+    assert np.arange(4)[kept].tolist() == [0, 1, 2, 3] and pendings[0].shape == (4, 0)
+    assert search._violating_rows(table, alpha).tolist() == [False] * 4
+    assert (search.cells, search.leaf_cells) == (0, 0)
+
+
+def test_a_forbidden_identity_the_fixed_cells_decide_exhausts(capsys, tmp_path):
+    verdict = find_model(SearchSpec(max_n=3, violate=("x*1 = x",)))
+    assert not verdict.found and verdict.stats.leaf_cells == 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"max_n": 3, "violate": ["x*1 = x"]}))
+    assert main(["search", str(path)]) == 0
+    assert "exhausted" in capsys.readouterr().out
+
+
+def test_a_required_identity_the_fixed_cells_decide_runs_no_kernel(monkeypatch):
+    runs = _watch_levels(monkeypatch, lambda *level: None)
+    verdict = find_model(SearchSpec(max_n=3, require=("x*1 = x",), violate=("I1",)))
+    free = find_model(SearchSpec(max_n=3, violate=("I1",)))
+    assert runs == [] and verdict.stats.cells == 0
+    assert verdict.model == free.model
+    assert (verdict.stats.nodes, verdict.stats.models) == (free.stats.nodes, free.stats.models)
+
+
+def test_a_spec_without_forbidden_identities_returns_its_least_model():
+    spec = SearchSpec(max_n=2, require=("I1", "II2"))
+    verdict = find_model(spec)
+    models, nodes, leaves = _reference_dfs(spec, 1, first_only=True)
+    assert verdict.model == models[0]
+    assert (verdict.stats.nodes, verdict.stats.models, verdict.stats.leaf_cells) == (nodes, leaves, 0)
