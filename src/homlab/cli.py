@@ -175,9 +175,10 @@ def _cmd_lie_verify(args) -> int:
     expansion = liecheck.expansion_residuals(algebra)
     rows["expansion-nine-term"] = expansion.nine_term_matches
     rows["expansion-residual-accounted"] = expansion.residual_equals_omitted
-    probe = liecheck.self_adjointness_probe(algebra, seed=args.seed)
-    rows["self-adjoint"] = probe.self_adjoint
-    rows["self-adjoint-consequences"] = probe.passed
+    if algebra.p != 2:  # the probe needs odd characteristic
+        probe = liecheck.self_adjointness_probe(algebra, seed=args.seed)
+        rows["self-adjoint"] = probe.self_adjoint
+        rows["self-adjoint-consequences"] = probe.passed
     checked = {k: v for k, v in rows.items() if k not in ("is-lie", "self-adjoint")}
     payload = dict(rows)
     payload["passed"] = all(checked.values())

@@ -66,8 +66,9 @@ class UnitRequired(EvaluationError):
 
 
 class NonMultilinearIdentity(EvaluationError):
-    """Basis-triple checking is only complete when each variable occurs
-    at most once per side."""
+    """Basis-triple checking is only complete for a multilinear identity:
+    in an equation each variable occurs once in each side or in neither,
+    and a cyclic term holds x, y and z once each, or no variable."""
 
 
 class HypothesisNotMet(HomLabError):

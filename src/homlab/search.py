@@ -11,8 +11,8 @@ complete model found is therefore the lexicographically least countermodel
 under the key (size, flattened table, alpha map) with that value order,
 and it equals its own canonical form.
 
-Identities run as straight-line kernels generated from the compiled
-programs of :mod:`homlab.evaluate`, over tables padded by one row and
+Identities run as the compiled programs of :mod:`homlab.evaluate`, through
+:func:`homlab.evaluate.stack_sides`, over tables padded by one row and
 column whose index ``size`` stands for an unassigned cell and absorbs every
 product and twist.  The slots are walked in windows: depth first over
 windows, breadth first inside each.  A window spans as many slots as keep
@@ -20,7 +20,7 @@ its widest level within a fixed number of rows, and the windows of a
 carrier size end at its leaves, so the first takes what is left over.  A
 window holds its alive partial tables as one stack in lexicographic order;
 each level gives every row one child per domain value and runs each
-required identity's kernel once over the union of the rows' pending
+required identity's program once over the union of the rows' pending
 triples, on the children the identities before it kept (a level too large
 for one run is cut into chunks of rows).  A fixed code table over the padded indices marks each triple of
 each child decided and equal, undecided, or decided and unequal; a child
@@ -28,8 +28,8 @@ with an unequal triple is dropped, and so are the triples no kept child
 leaves undecided.  The runs are scheduled: a triple whose identity twists
 one of its variables (or the unit) waits, unevaluated, until the slot that
 assigns that twist, since until then the twist is undefined and the triple
-undecided on every row; a level where no triple is ready runs no kernel.
-When a window completes the table, one kernel run per forbidden identity
+undecided on every row; a level where no triple is ready runs no program.
+When a window completes the table, one run per forbidden identity
 checks all its leaves; a complete table is accepted when every forbidden
 identity fails on some triple, and only accepted leaves are visited.
 Neither the schedules nor the leaf check hold a triple that the fixed
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import evaluate
 from .carriers import FiniteHomMagma, _default_names, _refuse_unknown_keys, magma_to_dict, new_magma
-from .errors import HomLabError, InvariantViolation, UnitRequired
+from .errors import HomLabError, InvariantViolation
 from .terms import (
     Identity,
     TypeTag,
@@ -106,8 +106,8 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchStats:
     """Nodes and leaves (models) as a search trying one value at a time
-    counts them, the row-triple cells the required identities' kernels
-    evaluated (``cells``) and those the forbidden identities' kernels
+    counts them, the row-triple cells the required identities' programs
+    evaluated (``cells``) and those the forbidden identities' programs
     evaluated in the leaf check (``leaf_cells``), each summed over the
     carrier sizes searched; wall seconds.  Neither cell count includes a
     triple that the fixed cells decide (see ``_live_triples``)."""
@@ -192,7 +192,7 @@ def spec_to_dict(spec: SearchSpec) -> dict:
 
 # ------------------------------------------------------------------ search
 
-# Most cells (rows x triples) one kernel run decides.  A larger level runs
+# Most cells (rows x triples) one program run decides.  A larger level runs
 # in chunks of rows, so that memory stays bounded where pruning is weak.
 # canonical_form keys its relabelings in blocks of as many cells.
 _KERNEL_CELLS = 1 << 14
@@ -200,7 +200,7 @@ _KERNEL_CELLS = 1 << 14
 # Most rows a level of a run() window may hold.  A window spans the most
 # slots w with D**w <= _WINDOW_ROWS, where D is the number of values a slot
 # takes, so that a few wide levels replace many narrow ones (each level
-# costs one kernel call per required identity) and no level outgrows this.
+# costs one program run per required identity) and no level outgrows this.
 _WINDOW_ROWS = 1 << 17
 
 
@@ -226,24 +226,24 @@ class _SizeSearch:
     (R, s+1, s+1) and (R, s+1) in lexicographic order, in the narrowest
     unsigned dtype that holds ``size``.  Each level
     repeats every row once per domain value, so row r*D + b is child b of
-    row r.  Each required identity's kernel then runs once over the union
+    row r.  Each required identity's program then runs once over the union
     of the rows' pending triples, on the rows the identities before it
     kept (in chunks of rows when the level holds more than
-    ``_KERNEL_CELLS`` row-triple cells).  A kernel takes the indices of
-    those rows and reads them in place, through flat offsets into the
-    whole stacks; no row is copied.  ``code[lhs, rhs]`` reads 0 for a
-    decided equal pair, 1 for an undecided one and 2 for a decided unequal
-    one; it is looked up at the flat pair index ``lhs * (s+1) + rhs``,
-    computed in ``intp``.
+    ``_KERNEL_CELLS`` row-triple cells).  A run takes the indices of those
+    rows and reads them in place, through flat offsets into the whole
+    stacks (``evaluate.stack_sides``); no row is copied.
+    ``code[lhs, rhs]`` reads 0 for a decided equal pair, 1 for an
+    undecided one and 2 for a decided unequal one; it is looked up at the
+    flat pair index ``lhs * (s+1) + rhs``, computed in ``intp``.
 
     Each identity's pending triples start as its live triples, those the
     fixed cells do not decide (see ``_live_triples``), in a (4, k) array:
     x, y, z and the triple's ready slot, sorted by it (see
-    ``_scheduled_triples``).  A level runs an identity's kernel only on the
+    ``_scheduled_triples``).  A level runs an identity's program only on the
     prefix of triples that are ready at its slot; the others read code 1
     on every row and wait.  The leaf check runs each forbidden identity
     on its live triples, ``leaf_triples``.  ``cells`` counts the
-    row-triple cells the required kernels evaluated, and ``leaf_cells``
+    row-triple cells the required programs evaluated, and ``leaf_cells``
     those of the leaf check.
     """
 
@@ -257,16 +257,14 @@ class _SizeSearch:
         self.slots = [("t", i, j) for i in range(lo, nonzero) for j in range(lo, nonzero)]
         self.slots += [("a", i, i) for i in range(nonzero)]
         self.domain = ([self.zero] if self.zero is not None else []) + list(range(nonzero))
-        required = [self._program(r) for r in spec.require]
-        forbidden = [self._program(v) for v in spec.violate]
-        self.require = [evaluate.magma_kernel(p) for p in required]
-        self.violate = [evaluate.magma_kernel(p) for p in forbidden]
-        self.leaf_triples = [_live_triples(p, self.size, self.unit, self.zero) for p in forbidden]
+        self.require = [evaluate.magma_program(resolve_requirement(r)) for r in spec.require]
+        self.violate = [evaluate.magma_program(resolve_requirement(v)) for v in spec.violate]
+        self.leaf_triples = [_live_triples(p, self.size, self.unit, self.zero) for p in self.violate]
         # The position of the slot that assigns each element's twist; the
         # zero's twist is fixed.
         twist_slot = tuple(range(len(self.slots) - nonzero, len(self.slots)))
         twist_slot += (-1,) * (self.size - nonzero)
-        self.scheduled = [_scheduled_triples(p, twist_slot, self.unit, self.zero) for p in required]
+        self.scheduled = [_scheduled_triples(p, twist_slot, self.unit, self.zero) for p in self.require]
         self.nodes = 0
         self.models = 0
         self.cells = 0
@@ -288,23 +286,16 @@ class _SizeSearch:
         self.code[np.arange(undef), np.arange(undef)] = 0
         self.code[undef, :] = self.code[:, undef] = 1
 
-    def _program(self, entry: Requirement):
-        program = evaluate.magma_program(resolve_requirement(entry))
-        if self.unit is None and program.uses_unit:
-            raise UnitRequired("identity uses the unit constant in a unit-free search")
-        return program
-
-    def _codes(self, kernel, table, alpha, rows, triples):
+    def _codes(self, program, table, alpha, rows, triples):
         """(R, k) codes of the triples under the given rows of the stacks,
         read in place through flat offsets."""
+        lhs, rhs = evaluate.stack_sides(program, table, alpha, rows, self.unit, triples)
+        # A bare variable (x = x*1) lacks the row axis and a side without
+        # variables (1 = a(1)) the triple axis: spread them to (R, k).  The
+        # sides hold the stacks' narrow dtype: widen before the pair index,
+        # which outgrows it (16 * 17 + 16 wraps in uint8).
         edge = table.shape[-1]
-        lhs, rhs = kernel(
-            table.reshape(-1), alpha.reshape(-1), rows[:, None] * edge, edge,
-            *triples, self.unit,
-        )
-        # The sides hold the stacks' narrow dtype: widen before the pair
-        # index, which outgrows it (16 * 17 + 16 wraps in uint8).
-        pair = np.multiply(lhs, edge, dtype=np.intp)
+        pair = np.multiply(np.broadcast_to(lhs, (len(rows), triples.shape[1])), edge, dtype=np.intp)
         pair += rhs
         return self.code.reshape(-1)[pair]
 
@@ -315,7 +306,7 @@ class _SizeSearch:
         that some kept row leaves undecided, in their order.
 
         Only the triples ready at ``pos`` run: the rest read code 1 on every
-        row.  When no triple is ready, no kernel runs and the pendings come
+        row.  When no triple is ready, no program runs and the pendings come
         back as they are.  The pendings are the union over the rows: a
         triple outside a row's own pending set was decided equal in one of
         its ancestors and reads 0 again, so every row gets the verdict of
@@ -347,11 +338,11 @@ class _SizeSearch:
         """Rows of complete tables in which every forbidden identity fails
         on one of its live triples (the others hold on every table)."""
         rows = np.ones(len(table), dtype=bool)
-        for kernel, triples in zip(self.violate, self.leaf_triples):
+        for program, triples in zip(self.violate, self.leaf_triples):
             for part in _parts(len(table), triples.shape[1]):
                 selected = np.arange(len(table))[part]
                 self.leaf_cells += len(selected) * triples.shape[1]
-                codes = self._codes(kernel, table, alpha, selected, triples)
+                codes = self._codes(program, table, alpha, selected, triples)
                 rows[part] &= (codes == 2).any(axis=1)
         return rows
 
@@ -484,7 +475,7 @@ def _live_triples(program, size: int, unit, zero) -> np.ndarray:
 
     A dropped triple is equal in every completion of the table, and a cell
     never changes once assigned, so it reads code 0 or 1 on every partial
-    table and 0 on every complete one: neither the required kernels nor
+    table and 0 on every complete one: neither the required runs nor
     the leaf check need it.  The reduction depends only on the triple's
     pattern (which coordinates are the unit, which the zero, and which of
     the others are equal), so it runs once per pattern, on the first triple

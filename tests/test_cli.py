@@ -160,6 +160,34 @@ def test_lie_verify(capsys, tmp_path):
     assert payload["passed"] is True
 
 
+def test_lie_verify_in_characteristic_two_leaves_out_the_probe(capsys, tmp_path):
+    # The self-adjointness probe needs odd characteristic; every other row
+    # applies at p = 2.
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 1] = c[1, 0, 1] = 1  # [e1, e2] = e2 = -[e2, e1] mod 2
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps({"p": 2, "c": c.tolist(), "alpha": [[1, 0], [0, 1]], "kind": "skew"}))
+    code, out = run(capsys, ["lie-verify", str(path), "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert not {"self-adjoint", "self-adjoint-consequences"} & set(payload)
+    for row in ("is-lie", "jacobiator-sums", "type-implications", "twisted-bracket",
+                "expansion-nine-term", "expansion-residual-accounted", "passed"):
+        assert payload[row] is True, row
+
+
+def test_check_refuses_a_non_multilinear_identity_on_an_algebra(capsys, tmp_path):
+    # e_i * e_j = e_j, so x*y = y holds on every basis pair but not at
+    # x = 0: the basis grid cannot decide it.
+    path = tmp_path / "right.json"
+    path.write_text(json.dumps({
+        "p": 7, "c": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "alpha": [[1, 0], [0, 1]],
+        "kind": "general",
+    }))
+    assert main(["check", str(path), "--identity", "x*y = y"]) == 2
+    assert "holds" not in capsys.readouterr().out
+
+
 def test_jacobiator_basis_names(capsys, algebra_file):
     code, out = run(capsys, ["jacobiator", algebra_file, "--type", "I1",
                              "--at", "e1,e2,e3", "--json"])

@@ -1,10 +1,10 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
 
 from homlab import (
+    ALL_TAGS,
     ASSOC_TAGS,
     CyclicNotSupportedOnMagma,
     Identity,
@@ -44,7 +44,7 @@ from homlab import (
     type_defect,
     type_profile,
 )
-from homlab.evaluate import magma_kernel, magma_program, run_program
+from homlab.evaluate import PLAIN_JACOBI, magma_program, run_program, stack_sides
 from homlab.liecheck import random_skew_constants, random_twist
 from homlab.modp import rref
 from homlab.search import _SizeSearch
@@ -136,6 +136,30 @@ def test_repeated_variable_rejected():
     a = linearize(cyclic_group_magma(3), 5)
     with pytest.raises(NonMultilinearIdentity):
         holds_multilinear(a, parse_identity("(x*x)*y = x*(x*y)"))
+
+
+def test_non_multilinear_identities_rejected():
+    # Each holds on the basis grid but fails at a zero argument: the gap
+    # of x*y = y is (6, 0) at (0, e1), that of cyc [x,y] = 0 is (0, 1) at
+    # (0, e1, e2).
+    right = new_algebra(7, [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], np.eye(2), "general")
+    e1, e2 = np.eye(2, dtype=np.int64)
+    zero = np.zeros(2, dtype=np.int64)
+    for a, text in ((right, "x*y = y"), (solvable2_algebra(), "cyc [x,y] = 0")):
+        identity = parse_identity(text)
+        assert np.any(identity_gap(a, identity, zero, e1, e2))
+        with pytest.raises(NonMultilinearIdentity):
+            holds_multilinear(a, identity)
+    for text in ("x*y = x", "x = a(y)", "cyc [x,[y,x]] = 0", "cyc [x,[y,1]] = 0"):
+        with pytest.raises(NonMultilinearIdentity):
+            holds_multilinear(right, parse_identity(text))
+
+
+def test_multilinear_identities_accepted():
+    a = linearize(cyclic_group_magma(3, 1), 7)
+    texts = ("x*a(1) = a(x)", "1 = a(1)", "1 = 1", "x*y = y*x")
+    for identity in [builtin(t) for t in ALL_TAGS] + [PLAIN_JACOBI] + [parse_identity(t) for t in texts]:
+        holds_multilinear(a, identity)
 
 
 def test_variable_free_identity_on_basis_grid():
@@ -514,20 +538,20 @@ def test_search_agrees_with_term_walker_on_custom_identities():
         assert mine == theirs, identity
 
 
-# The search's batched kernels against the same semantics.  Rows of the
-# stack are separate magmas of one size; the kernel reads the selected rows
-# in place through flat offsets, in the order given, and every row must
-# give the walker's sides and run_program's on its own intp table, whatever
-# the stack's dtype.  The last four identities have a side without a batch
-# axis (a bare variable, or no product or twist) or without a triple axis
-# (no variable), which the kernel must spread to (R, k).
+# The search's stacked evaluation against the same semantics.  Rows of the
+# stack are separate magmas of one size; stack_sides reads the selected rows
+# in place through flat offsets, in the order given, and every row must give
+# the walker's sides and run_program's on its own intp table, whatever the
+# stack's dtype.  The last four identities have a side without a row axis (a
+# bare variable, or no product or twist) or without a triple axis (no
+# variable), which must broadcast to (R, k).
 
-KERNEL_EXTRA = ("1 = a(1)", "x = x*1", "x*y = x*y", "1 = 1")
+STACK_EXTRA = ("1 = a(1)", "x = x*1", "x*y = x*y", "1 = 1")
 
 
-def test_magma_kernel_agrees_with_walker_and_run_program_on_stacked_magmas():
+def test_stack_sides_agree_with_walker_and_run_program_on_stacked_magmas():
     rng = np.random.default_rng(2024)
-    identities = random_identities(rng, 60) + [parse_identity(t) for t in KERNEL_EXTRA]
+    identities = random_identities(rng, 60) + [parse_identity(t) for t in STACK_EXTRA]
     for n, with_zero in ((1, True), (2, False), (2, True), (3, True)):
         magmas = [random_magma(rng, n, with_zero) for _ in range(3)]
         size = magmas[0].size
@@ -538,12 +562,12 @@ def test_magma_kernel_agrees_with_walker_and_run_program_on_stacked_magmas():
         selections = [np.arange(len(magmas)), np.array([2, 0])]
         for identity in identities:
             program = magma_program(identity)
-            kernel = magma_kernel(program)
             for (tab, alp), rows in itertools.product(stacks, selections):
-                lhs, rhs = kernel(
-                    tab.reshape(-1), alp.reshape(-1), rows[:, None] * size, size, *triples, 0
+                shape = (len(rows), triples.shape[1])
+                lhs, rhs = (
+                    np.broadcast_to(side, shape)
+                    for side in stack_sides(program, tab, alp, rows, 0, triples)
                 )
-                assert lhs.shape == rhs.shape == (len(rows), triples.shape[1]), identity
                 for i, b in enumerate(rows):
                     m = magmas[b]
                     env = dict(zip("xyz", triples))
@@ -557,14 +581,3 @@ def test_magma_kernel_agrees_with_walker_and_run_program_on_stacked_magmas():
                         env = dict(zip("xyz", xyz))
                         assert lhs[i, t] == walk(identity.lhs, m, env), identity
                         assert rhs[i, t] == walk(identity.rhs, m, env), identity
-
-
-def test_magma_kernel_is_built_from_fixed_names_only():
-    # Identity text never reaches the generated source: the kernel reads
-    # only its parameters, numbered steps and two helpers.
-    rng = np.random.default_rng(3)
-    for identity in random_identities(rng, 20) + [parse_identity(t) for t in KERNEL_EXTRA]:
-        code = magma_kernel(magma_program(identity)).__code__
-        assert set(code.co_names) <= {"broadcast_to", "len"}
-        assert all(re.fullmatch(r"[TABSxyzu]|s\d+", v) for v in code.co_varnames)
-        assert all(c is None or isinstance(c, int) for c in code.co_consts)

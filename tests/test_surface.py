@@ -121,3 +121,16 @@ def test_every_definition_is_referenced():
         if name not in references
     ]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "homlab").glob("*.py")))
+def test_no_code_is_generated_at_run_time(module):
+    # Every identity runs through evaluate.run_program: no module builds
+    # source text and runs it.
+    tree = ast.parse((ROOT / "src" / "homlab" / module).read_text())
+    calls = [
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    ]
+    assert calls == []
